@@ -46,7 +46,9 @@ terms or documents").  This CLI is the same toolbox over this library:
     serves N named stores behind one front end, spawning each tenant's
     worker fleet lazily on first query; ``status`` queries a running
     cluster's health (per-worker epochs, writer lag); ``worker`` is the
-    per-shard process entry point the supervisor launches.
+    per-shard process entry point the supervisor launches;
+    ``decode-frame`` prints captured wire frames (header fields, and
+    each binary section's dtype, shape and values).
 ``tenants``
     List a multi-tenant server's tenants (``list``) or print their
     residency, quota, and per-tenant index status (``status``).
@@ -413,6 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "multi-tenant supervisor; score frames "
                                 "naming another tenant are rejected)")
 
+    pc_decode = cluster_sub.add_parser(
+        "decode-frame", help="print captured router/worker wire frames"
+    )
+    pc_decode.add_argument("path", nargs="?", type=pathlib.Path,
+                           help="file of raw frames (default: stdin)")
+
     p_tenants = sub.add_parser(
         "tenants", help="inspect a multi-tenant server's tenants"
     )
@@ -725,7 +733,28 @@ def _cmd_serve(args, out) -> int:
 
 
 def _cmd_cluster(args, out) -> int:
-    """Dispatch the ``cluster`` verbs: serve / status / worker."""
+    """Dispatch ``cluster`` serve / status / worker / decode-frame."""
+    if args.action == "decode-frame":
+        import numpy as np
+
+        from repro.cluster.wire import decode_frames
+
+        data = (
+            args.path.read_bytes() if args.path else sys.stdin.buffer.read()
+        )
+        for n, message in enumerate(decode_frames(data)):
+            print(f"frame {n}", file=out)
+            for key, value in message.items():
+                if isinstance(value, np.ndarray):
+                    values = np.array2string(
+                        value, separator=", ", floatmode="unique"
+                    )
+                    text = f"{value.dtype.str} {value.shape} {values}"
+                else:
+                    text = json.dumps(value)
+                print(f"  {key}: {text}", file=out)
+        return 0
+
     if args.action == "worker":
         from repro.cluster.worker import run_worker
 

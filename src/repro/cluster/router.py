@@ -4,10 +4,11 @@ One :class:`ClusterRouter` holds a persistent, id-multiplexed frame
 connection to each live worker slot of a
 :class:`~repro.cluster.placement.ReplicaPlan`.  A query batch is scaled
 once (``Q Σ``, mirroring :meth:`DocumentIndex.prepare_queries`),
-scattered **once per range** — not per worker — and the per-range stable
-top-k lists are merged per query with
-:func:`repro.parallel.sharding.merge_topk`, the same function the
-in-process sharded search uses, over byte-identical inputs.  Every
+scattered **once per range** — not per worker — as one ``<f8`` wire
+section, and the per-range stable top-k ``(indices, scores)`` arrays are
+merged per query with :func:`repro.parallel.sharding.merge_topk` (one
+stable argsort over the ranges in ascending order), the same function
+the in-process sharded search uses, over byte-identical inputs.  Every
 replica of a range holds identical scoring state for an epoch, so with
 any one replica per range live the cluster's answer is element-identical
 to ``sharded_batch_search``: indices, scores, tie order — regardless of
@@ -45,7 +46,12 @@ import numpy as np
 
 from repro.cluster.placement import ReplicaPlan, as_replica_plan
 from repro.cluster.plan import ShardPlan
-from repro.cluster.wire import BUMP_OP, read_frame, write_frame
+from repro.cluster.wire import (
+    BUMP_OP,
+    read_frame,
+    unpack_results,
+    write_frame,
+)
 from repro.errors import ClusterError
 from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, current_trace
@@ -83,8 +89,9 @@ class WorkerChannel:
     Concurrent :meth:`call`\\ s tag their frames with monotonically
     increasing ids; a single reader task resolves each response to its
     waiting future, so one TCP connection carries a whole batch fan-out
-    plus interleaved heartbeats.  When the peer hangs up, every pending
-    call fails with :class:`ConnectionError` at once.
+    plus interleaved heartbeats.  When the peer hangs up — or sends a
+    frame that does not decode, which leaves the stream unusable — every
+    pending call fails with :class:`ConnectionError` at once.
     """
 
     def __init__(
@@ -129,6 +136,8 @@ class WorkerChannel:
                 if future is not None and not future.done():
                     future.set_result(message)
         except (ConnectionError, OSError, ClusterError) as exc:
+            # ClusterError: a frame that does not decode — the stream
+            # cannot be trusted past it, so the channel is dead too.
             error = exc
         except asyncio.CancelledError:
             error = ConnectionError("channel closed")
@@ -564,7 +573,7 @@ class ClusterRouter:
         registry.inc("cluster.requests_total")
         message: dict = {
             "op": "score",
-            "queries": Q.tolist(),
+            "queries": Q,
             "epoch": plan.epoch,
         }
         if self.tenant is not None:
@@ -673,18 +682,16 @@ class ClusterRouter:
                 )
 
         k = int(top) if top is not None else max(1, plan.n_documents)
-        answered = sorted(responses)  # ascending range id == document order
-        results: list[list[tuple[int, float]]] = []
-        with span("cluster.merge", shards=len(answered), queries=n_queries):
-            for qi in range(n_queries):
-                per_shard = [
-                    [
-                        (int(i), float(s))
-                        for i, s in responses[sid]["results"][qi]
-                    ]
-                    for sid in answered
-                ]
-                results.append(merge_topk(per_shard, k))
+        # Ascending range id == document order: the merge's tie order.
+        per_range = [
+            unpack_results(responses[sid], n_queries)
+            for sid in sorted(responses)
+        ]
+        with span("cluster.merge", shards=len(per_range), queries=n_queries):
+            results = [
+                merge_topk([arrays[qi] for arrays in per_range], k)
+                for qi in range(n_queries)
+            ]
 
         partial = bool(missing_sids)
         if partial:

@@ -5,7 +5,7 @@ checkpoint of a durable store with ``np.load(mmap_mode="r")``
 (:mod:`repro.store.mmap_io` — O(header) open, no pickling of factors),
 materializes only its shard's scoring state — ``V[lo:hi] Σ`` and its
 row norms, the same arrays the in-process sharded search slices — and
-serves two things over length-prefixed JSON frames on a local socket:
+serves two things over length-prefixed binary frames on a local socket:
 ``score`` requests and heartbeats.  Nothing else: no updating, no WAL,
 no lock on the store.  Restarting a worker is therefore always safe and
 cheap, which is what the supervisor's crash-restart loop relies on.
@@ -27,10 +27,12 @@ Exactness contract
 :meth:`ShardWorker.score` runs the *identical* kernel and selection the
 flat path runs on the same slice shapes — :func:`~repro.serving.kernel.
 cosine_scores` over ``(hi-lo, k)`` rows, :func:`~repro.serving.topk.
-ranked_order` per query — and JSON round-trips doubles losslessly, so a
-router merging worker responses with ``merge_topk`` reproduces
-``sharded_batch_search`` element-for-element: indices, scores, tie
-order.
+ranked_order` per query.  Queries arrive and ``(indices, scores)``
+arrays leave as raw IEEE-754 sections (:mod:`repro.cluster.wire`), so
+the bytes a worker scores and returns are the bytes the router holds —
+no text round trip — and a router merging worker responses with
+``merge_topk`` reproduces ``sharded_batch_search`` element-for-element:
+indices, scores, tie order.
 
 Run one with ``python -m repro cluster worker`` (the supervisor does).
 """
@@ -48,9 +50,9 @@ import time
 import numpy as np
 
 from repro.cluster.plan import ShardPlan, ShardRange
-from repro.cluster.wire import BUMP_OP, recv_frame, send_frame
+from repro.cluster.wire import BUMP_OP, pack_results, recv_frame, send_frame
 from repro.core.model import LSIModel
-from repro.errors import ShapeError
+from repro.errors import ClusterError, ShapeError
 from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, trace_scope
 from repro.obs.tracing import span, spans_for_trace
@@ -290,8 +292,8 @@ class ShardWorker:
         probes: int | None = None,
         exact: bool = False,
         state: _EpochState | None = None,
-    ) -> list[list[list]]:
-        """Per-query ranked ``[global_index, score]`` pairs for this shard.
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-query ranked ``(global indices <i8, scores <f8)`` arrays.
 
         ``Qs`` is the already-scaled ``(q, k)`` comparison-space batch
         (the router applies ``Σ`` once); indices are shifted to global
@@ -306,14 +308,14 @@ class ShardWorker:
         state = state if state is not None else self._state
         lo = state.shard.lo
         if state.shard.n_rows == 0:
-            return [[] for _ in range(Qs.shape[0])]
+            empty = (np.empty(0, dtype=np.int64), np.empty(0))
+            return [empty for _ in range(Qs.shape[0])]
         if probes is not None and not exact:
             if state.ann is None:
                 registry.inc("ann.exact_fallbacks_total")
             else:
-                out = []
-                for q in Qs:
-                    pairs, _stats = state.ann.select(
+                return [
+                    state.ann.select(
                         state.coords,
                         state.norms,
                         q,
@@ -322,14 +324,14 @@ class ShardWorker:
                         threshold=threshold,
                         lo=lo,
                         n_total=state.model.n_documents,
-                    )
-                    out.append([[j, score] for j, score in pairs])
-                return out
+                    )[0]
+                    for q in Qs
+                ]
         S = cosine_scores(state.coords, Qs, norms=state.norms)
         out = []
         for row in S:
             order = ranked_order(row, top=top, threshold=threshold)
-            out.append([[int(lo + j), float(row[j])] for j in order])
+            out.append((order.astype(np.int64) + lo, row[order]))
         return out
 
     # ------------------------------------------------------------------ #
@@ -429,7 +431,7 @@ class ShardWorker:
             return {
                 "shard": state.shard.shard_id,
                 "epoch": state.epoch,
-                "results": results,
+                **pack_results(results),
                 "ann": bool(
                     probes is not None and not exact and state.ann is not None
                 ),
@@ -464,7 +466,10 @@ class _FrameHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 message = recv_frame(sock)
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, ClusterError):
+                # Peer gone, or a corrupt frame desynchronized the
+                # stream: nothing more can be read, so drop this
+                # connection quietly (others are unaffected).
                 return
             if message is None:
                 return

@@ -21,6 +21,7 @@ from repro.core.model import LSIModel
 from repro.errors import ShapeError
 from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
+from repro.weighting.local import NEEDS_COL_MAX, local_weight
 
 __all__ = ["project_query", "project_counts", "pseudo_document", "query_counts"]
 
@@ -37,23 +38,42 @@ def query_counts(model: LSIModel, query: str | Sequence[str]) -> np.ndarray:
     return count_vector(tokens, model.vocabulary)
 
 
+def _term_vector_sum(
+    model: LSIModel, rows: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """``Σ_i weights_i · U_k[rows_i] · Σ_k⁻¹`` — the one Eq. 6 kernel.
+
+    Reads only the named ``U_k`` rows.  Singular values of zero would
+    make the projection blow up; they cannot occur in a properly
+    truncated model, so we validate.
+    """
+    if np.any(model.s <= 0):
+        raise ShapeError(
+            "model has zero singular values; truncate before projecting"
+        )
+    return (weights @ model.U[rows]) / model.s
+
+
 def pseudo_document(model: LSIModel, weighted_counts: np.ndarray) -> np.ndarray:
     """Project a weighted m-vector into k-space: ``d̂ = dᵀ U_k Σ_k⁻¹``.
 
     This is simultaneously Eq. 6 (queries) and Eq. 7 (folding in a
-    document).  Singular values of zero would make the projection blow
-    up; they cannot occur in a properly truncated model, so we validate.
+    document).  As the paper puts it, the vector lands "at the weighted
+    sum of its constituent term vectors": only the ``U_k`` rows of the
+    nonzero weighted terms are read (``d[nz] @ U[nz]``), a few rows for
+    a typical query instead of all m.  :func:`project_counts` lands in
+    the same kernel, so every projection path — single and batched
+    queries, engine, server, cluster — agrees element for element.
     """
     d = np.asarray(weighted_counts, dtype=np.float64).ravel()
     if d.size != model.n_terms:
         raise ShapeError(
             f"vector length {d.size} != m={model.n_terms}"
         )
-    if np.any(model.s <= 0):
-        raise ShapeError(
-            "model has zero singular values; truncate before projecting"
-        )
-    return (d @ model.U) / model.s
+    # (d != 0).nonzero() is several times faster than np.flatnonzero(d)
+    # on a long float vector.
+    nz = (d != 0).nonzero()[0]
+    return _term_vector_sum(model, nz, d[nz])
 
 
 def project_counts(model: LSIModel, counts: np.ndarray) -> np.ndarray:
@@ -63,20 +83,25 @@ def project_counts(model: LSIModel, counts: np.ndarray) -> np.ndarray:
     stored global weights), then the Eq. 6 projection.  Split out from
     :func:`project_query` so callers that already hold counts — the
     serving layer's query-vector cache keys on them — can skip the
-    tokenization pass.
+    tokenization pass.  Every local transform maps 0 → 0, so only the
+    nonzero counts are weighted; the result is element-identical to
+    :func:`pseudo_document` of the densely weighted vector.
     """
-    from repro.weighting.schemes import WeightedMatrix  # noqa: F401 (doc ref)
-    from repro.weighting.local import NEEDS_COL_MAX, local_weight
-
-    if model.scheme.local in NEEDS_COL_MAX:
-        cmax = max(counts.max(), 1.0)
-        local = local_weight(
-            model.scheme.local, counts, np.full_like(counts, cmax)
+    counts = np.asarray(counts, dtype=np.float64).ravel()
+    if counts.size != model.n_terms:
+        raise ShapeError(
+            f"vector length {counts.size} != m={model.n_terms}"
         )
+    nz = (counts != 0).nonzero()[0]
+    c = counts[nz]
+    if model.scheme.local in NEEDS_COL_MAX:
+        cmax = max(c.max(initial=0.0), 1.0)
+        local = local_weight(model.scheme.local, c, np.full_like(c, cmax))
     else:
-        local = local_weight(model.scheme.local, counts)
-    weighted = local * model.global_weights
-    return pseudo_document(model, weighted)
+        local = local_weight(model.scheme.local, c)
+    weighted = local * model.global_weights[nz]
+    keep = weighted != 0  # a zero global weight drops the term, as dense
+    return _term_vector_sum(model, nz[keep], weighted[keep])
 
 
 def project_query(model: LSIModel, query: str | Sequence[str]) -> np.ndarray:

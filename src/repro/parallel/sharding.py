@@ -14,12 +14,11 @@ and the merge preserves its tie order (lower document index first), so
 sharded results are element-identical to a flat search.
 :func:`sharded_batch_search` runs a whole query batch through the same
 machinery: one GEMM per (shard × batch), shards optionally scored by a
-thread pool, per-shard top-k heaps merged exactly per query.
+thread pool, per-shard top-k arrays merged exactly per query.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 import numpy as np
@@ -71,24 +70,30 @@ def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
 #: Backwards-compatible private alias (pre-cluster callers).
 _shard_bounds = shard_bounds
 
+#: A shard's answer for one query that matched nothing.
+_EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+
 
 def merge_topk(
-    per_shard: Sequence[Sequence[tuple[int, float]]], k: int
+    per_shard: Sequence[tuple[np.ndarray, np.ndarray]], k: int
 ) -> list[tuple[int, float]]:
-    """Exact top-k merge of per-shard ``(doc_index, score)`` lists.
+    """Exact top-k merge of per-shard ``(indices, scores)`` arrays.
 
-    ``heapq.nlargest`` is stable, so with shards supplied in document
-    order and each shard list in stable descending order, score ties
-    resolve by ascending document index — the flat search's tie order.
+    One stable ``argsort(-scores)`` over the shards concatenated in
+    document order: each shard arrives in stable descending order, so
+    score ties resolve by ascending document index — the flat search's
+    tie order, and exactly what a stable ``heapq.nlargest`` over the
+    same pairs yields.  The ``(doc_index, score)`` pairs are the only
+    Python objects built.
     """
     if k < 1:
         raise ShapeError("k must be >= 1")
-    merged = heapq.nlargest(
-        k,
-        (pair for shard in per_shard for pair in shard),
-        key=lambda pair: pair[1],
-    )
-    return merged
+    if not per_shard:
+        return []
+    indices = np.concatenate([idx for idx, _ in per_shard])
+    scores = np.concatenate([s for _, s in per_shard])
+    order = (-scores).argsort(kind="stable")[:k]
+    return list(zip(indices[order].tolist(), scores[order].tolist()))
 
 
 def _shard_topk(
@@ -97,21 +102,21 @@ def _shard_topk(
     lo: int,
     hi: int,
     top: int,
-) -> list[list[tuple[int, float]]]:
-    """Per-query top-``top`` pairs within rows ``lo:hi`` of the index.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-query top-``top`` ``(indices, scores)`` within rows ``lo:hi``.
 
     Scores the shard with the shared GEMM kernel on zero-copy views of
     the cached coordinates and norms; indices are shifted to global.
     """
     if hi <= lo:
-        return [[] for _ in range(Qs.shape[0])]
+        return [_EMPTY for _ in range(Qs.shape[0])]
     S = cosine_scores(
         index.coords[lo:hi], Qs, norms=index.norms[lo:hi]
     )
     out = []
     for row in S:
         order = topk_indices(row, top)
-        out.append([(int(lo + j), float(row[j])) for j in order])
+        out.append((order.astype(np.int64) + lo, row[order]))
     return out
 
 
@@ -133,7 +138,9 @@ def sharded_search(
         Qs = index.prepare_queries(np.asarray(qhat, dtype=np.float64).ravel())
         parts = _shard_bounds(index.n_documents, shards)
 
-        def search_shard(bounds: tuple[int, int]) -> list[tuple[int, float]]:
+        def search_shard(
+            bounds: tuple[int, int],
+        ) -> tuple[np.ndarray, np.ndarray]:
             lo, hi = bounds
             serving_counters.incr("shard_searches")
             with span("lsi.search.shard", lo=lo, hi=hi):
@@ -158,7 +165,7 @@ def sharded_batch_search(
     already-projected ``(q, k)`` array.  Each shard scores the whole
     query batch with one GEMM over its slice of the document index —
     optionally across a thread pool (NumPy releases the GIL inside the
-    GEMM) — then the per-shard top-k heaps are merged exactly per query.
+    GEMM) — then the per-shard top-k arrays are merged exactly per query.
     Results are element-identical to
     :func:`repro.parallel.batch.batch_search`.
     """
@@ -178,7 +185,7 @@ def sharded_batch_search(
 
         def search_shard(
             bounds: tuple[int, int],
-        ) -> list[list[tuple[int, float]]]:
+        ) -> list[tuple[np.ndarray, np.ndarray]]:
             lo, hi = bounds
             serving_counters.incr("shard_searches")
             with span("lsi.search.shard", lo=lo, hi=hi):

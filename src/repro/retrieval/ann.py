@@ -99,7 +99,7 @@ class ClusterIndex:
         target = index.prepare_queries(qhat)[0]
         if np.sqrt(target @ target) == 0:
             return [], 0
-        pairs, stats = self.quantizer.select(
+        (indices, scores), stats = self.quantizer.select(
             index.coords,
             index.norms,
             target,
@@ -107,6 +107,7 @@ class ClusterIndex:
             top=top,
             n_total=self.model.n_documents,
         )
+        pairs = list(zip(indices.tolist(), scores.tolist()))
         return pairs, stats["candidates"]
 
     def recall_at(

@@ -171,7 +171,7 @@ class EpochSnapshot:
             raise ShapeError(
                 f"query has {qhat.size} dims for k={self.model.k}"
             )
-        return self.ann.select(
+        (indices, scores), stats = self.ann.select(
             self.coords,
             self.norms,
             qhat * self.model.s,
@@ -180,6 +180,7 @@ class EpochSnapshot:
             threshold=threshold,
             n_total=self.n_documents,
         )
+        return list(zip(indices.tolist(), scores.tolist())), stats
 
 
 class ServingState:

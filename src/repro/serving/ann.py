@@ -368,15 +368,16 @@ class CoarseQuantizer:
         threshold: float | None = None,
         lo: int = 0,
         n_total: int | None = None,
-    ) -> tuple[list[tuple[int, float]], dict]:
-        """Ranked ``(doc_index, score)`` pairs over the probed candidates.
+    ) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
+        """Ranked ``(indices <i8, scores <f8)`` over the probed candidates.
 
         ``coords``/``norms`` are rows ``[lo, lo + len)`` of the full
         coordinate matrix — the whole thing with ``lo=0`` on a single
         node, or a shard slice in a worker (which passes the global
         ``n_total``).  Returned indices are global.  When the candidate
         set is the entire range the gather is skipped, so the full-probe
-        case runs the *same* kernel call as the exact path.
+        case runs the *same* kernel call as the exact path.  Returns
+        ``((indices, scores), stats)``.
         """
         q = np.asarray(q_scaled, dtype=np.float64).ravel()
         hi = lo + coords.shape[0]
@@ -390,7 +391,7 @@ class CoarseQuantizer:
         }
         self._record(stats, hi - lo)
         if cand.size == 0:
-            return [], stats
+            return (cand, np.empty(0, dtype=np.float64)), stats
         if cand.size == hi - lo:
             # Ascending and distinct within [lo, hi) ⇒ the full range:
             # score in place, bit-identical to the exhaustive scan.
@@ -404,7 +405,7 @@ class CoarseQuantizer:
         registry.observe(
             "ann.rerank_size", float(order.size), boundaries=_RERANK_BUCKETS
         )
-        return [(int(cand[i]), float(scores[i])) for i in order], stats
+        return (cand[order], scores[order]), stats
 
     def _record(self, stats: dict, n_rows: int) -> None:
         registry.inc("ann.requests_total")

@@ -25,7 +25,13 @@ from repro.cluster.plan import ShardPlan
 from repro.cluster.router import ClusterRouter, RouterConfig
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.supervisor import ClusterSupervisor
-from repro.cluster.wire import read_frame, write_frame
+from repro.cluster.wire import (
+    _decode_payload,
+    encode_frame,
+    read_frame,
+    unpack_results,
+    write_frame,
+)
 from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
 from repro.errors import (
@@ -306,8 +312,8 @@ class _FakeReplica:
                         return
                     if self.delay:
                         await asyncio.sleep(self.delay)
-                response = json.loads(
-                    json.dumps(self.worker.handle(message))
+                response = _decode_payload(
+                    encode_frame(self.worker.handle(message))[4:]
                 )
                 if "id" in message:
                     response["id"] = message["id"]
@@ -474,17 +480,15 @@ def test_any_replica_choice_yields_identical_merge(replica_model, choices):
         worker = ShardWorker(
             model, plan.shard(sid), replica=plan.replica_of(wid)
         )
-        response = json.loads(json.dumps(worker.handle(
-            {"op": "score", "queries": Q.tolist(), "top": TOP, "epoch": 0}
-        )))
+        request = _decode_payload(encode_frame(
+            {"op": "score", "queries": Q, "top": TOP, "epoch": 0}
+        )[4:])
+        response = _decode_payload(encode_frame(worker.handle(request))[4:])
         assert "error" not in response
-        per_shard_by_query.append(response["results"])
+        per_shard_by_query.append(unpack_results(response, len(queries)))
     merged = [
         merge_topk(
-            [
-                [(int(i), float(s)) for i, s in per_shard_by_query[sid][qi]]
-                for sid in range(RANGES)
-            ],
+            [per_shard_by_query[sid][qi] for sid in range(RANGES)],
             TOP,
         )
         for qi in range(len(queries))

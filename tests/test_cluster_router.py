@@ -8,14 +8,18 @@ process-spawn latency.
 """
 
 import asyncio
-import json
 
 import numpy as np
 import pytest
 
 from repro.cluster.plan import ShardPlan
 from repro.cluster.router import ClusterRouter, RouterConfig
-from repro.cluster.wire import read_frame, write_frame
+from repro.cluster.wire import (
+    _decode_payload,
+    encode_frame,
+    read_frame,
+    write_frame,
+)
 from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
 from repro.obs.metrics import registry
@@ -72,9 +76,10 @@ class _FakeWorker:
                 self.calls += 1
                 if self.delay and message.get("op") == "score":
                     await asyncio.sleep(self.delay)
-                # JSON-round-trip the response exactly as a process would.
-                response = json.loads(
-                    json.dumps(self.worker.handle(message))
+                # Round-trip the response through the real codec, exactly
+                # as a worker process would.
+                response = _decode_payload(
+                    encode_frame(self.worker.handle(message))[4:]
                 )
                 if "id" in message:
                     response["id"] = message["id"]

@@ -1,5 +1,7 @@
 """Tests for query projection (Eq. 6) and similarity ranking."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,15 @@ from repro.core import (
     rank_documents,
     retrieve,
 )
-from repro.core.query import pseudo_document, query_counts
+from repro.core.query import project_counts, pseudo_document, query_counts
 from repro.core.similarity import (
     cosine_similarities,
     doc_doc_similarities,
     term_term_similarities,
 )
 from repro.errors import ShapeError
+from repro.weighting.local import LOCAL_WEIGHTS, local_weight
+from repro.weighting.schemes import WeightingScheme
 
 
 def test_query_counts_drops_unindexed_words(med_model):
@@ -38,6 +42,34 @@ def test_eq6_projection_formula(med_model):
     qhat = project_query(med_model, "age blood abnormalities")
     expected = (q @ med_model.U) / med_model.s
     assert np.allclose(qhat, expected)
+
+
+@pytest.mark.parametrize("local", sorted(LOCAL_WEIGHTS))
+def test_project_counts_is_pseudo_document_of_dense_weights(med_model, local):
+    """Only the nonzero counts are weighted, and only their U_k rows read.
+
+    The result is bit-identical to ``pseudo_document`` of the densely
+    weighted vector (one kernel for every projection path), and equal
+    within rounding to the dense Eq. 6 algebra ``d @ U_k / s``.
+    """
+    gw = med_model.global_weights.copy()
+    gw[::3] = 0.0  # a zero global weight drops the term on both paths
+    model = dataclasses.replace(
+        med_model,
+        scheme=WeightingScheme(local, med_model.scheme.global_),
+        global_weights=gw,
+    )
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        counts = rng.integers(0, 4, model.n_terms).astype(float)
+        counts[rng.random(model.n_terms) < 0.7] = 0.0
+        cmax = np.full_like(counts, max(counts.max(), 1.0))
+        weighted = local_weight(local, counts, cmax) * model.global_weights
+        got = project_counts(model, counts)
+        assert got.tobytes() == pseudo_document(model, weighted).tobytes()
+        np.testing.assert_allclose(
+            got, (weighted @ model.U) / model.s, rtol=1e-12, atol=1e-14
+        )
 
 
 def test_pseudo_document_validation(med_model):

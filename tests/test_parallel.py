@@ -100,8 +100,8 @@ def test_shard_more_shards_than_docs():
 
 
 def test_merge_topk():
-    a = [(0, 0.9), (1, 0.5)]
-    b = [(2, 0.7), (3, 0.1)]
+    a = (np.array([0, 1]), np.array([0.9, 0.5]))
+    b = (np.array([2, 3]), np.array([0.7, 0.1]))
     merged = merge_topk([a, b], 3)
     assert merged == [(0, 0.9), (2, 0.7), (1, 0.5)]
     with pytest.raises(ShapeError):
@@ -113,6 +113,8 @@ def test_merge_topk_tie_order_matches_flat_stable_argsort():
     stable argsort exactly — indices, scores, AND tie order — for scores
     drawn from a tiny value set, so duplicates straddle shard boundaries
     constantly."""
+    import heapq
+
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -135,10 +137,17 @@ def test_merge_topk_tie_order_matches_flat_stable_argsort():
         for lo, hi in shard_bounds(s.size, shards):
             chunk = s[lo:hi]
             order = topk_indices(chunk, min(top, chunk.size))
-            per_shard.append([(lo + int(j), float(chunk[j])) for j in order])
+            per_shard.append((lo + order, chunk[order]))
         merged = merge_topk(per_shard, top)
         flat_order = np.argsort(-s, kind="stable")[:top]
         assert merged == [(int(j), float(s[j])) for j in flat_order]
+        # ...and exactly the stable heap merge over the same pairs.
+        pairs = [
+            (int(j), float(v))
+            for idx, sc in per_shard
+            for j, v in zip(idx, sc)
+        ]
+        assert merged == heapq.nlargest(top, pairs, key=lambda p: p[1])
 
     check()
 

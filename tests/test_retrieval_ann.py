@@ -175,13 +175,13 @@ def test_empty_cell_probe_returns_empty():
     )
     coords = np.array([[1.0, 0.1], [1.0, -0.1], [0.9, 0.0]])
     norms = np.sqrt(np.sum(coords**2, axis=1))
-    pairs, stats = quantizer.select(
+    (indices, scores), stats = quantizer.select(
         coords,
         norms,
         np.array([-1.0, 0.0]),  # nearest centroid is the empty cell
         probes=1,
     )
-    assert pairs == []
+    assert indices.size == 0 and scores.size == 0
     assert stats["candidates"] == 0
 
 
