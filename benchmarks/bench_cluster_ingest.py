@@ -224,7 +224,7 @@ def _p99_under_ingest(data_dir) -> tuple[float, float, int]:
         )
         await service.start()
         epoch0 = service.epoch
-        seals0 = service.healthz()["writer"]["seals_total"]
+        seals0 = service.describe()["writer"]["seals_total"]
         try:
             new_docs = _serve_corpus(INGEST_TOTAL, seed=91)
             ingested = {"n": 0}
@@ -265,7 +265,7 @@ def _p99_under_ingest(data_dir) -> tuple[float, float, int]:
             while service.epoch == epoch0:
                 assert time.perf_counter() < deadline, "no epoch bump"
                 await asyncio.sleep(0.1)
-            bumps = service.healthz()["writer"]["seals_total"] - seals0
+            bumps = service.describe()["writer"]["seals_total"] - seals0
             return p99, rate, bumps
         finally:
             await service.drain()

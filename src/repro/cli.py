@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc_serve.add_argument(
         "--queue-depth", type=int, default=256,
-        help="multi-tenant: bounded front-end admission queue, carved "
-             "into per-tenant shares (excess per tenant → 429)",
+        help="bounded front-end admission queue (excess → 429); with "
+             "--tenants it is carved into per-tenant shares",
     )
     pc_serve.add_argument("--workers", type=int, default=4,
                           help="shard worker processes (workers // "
@@ -616,14 +616,10 @@ def _parse_tenant_specs(specs: list[str]) -> dict[str, pathlib.Path]:
 
 def _cmd_serve(args, out) -> int:
     """Build the serving state and run the async server until SIGINT."""
-    import asyncio
-    import signal
-
     from repro.server import (
-        ServerConfig,
         QueryService,
+        ServerConfig,
         ServingState,
-        start_http_server,
         state_from_texts,
     )
 
@@ -682,33 +678,65 @@ def _cmd_serve(args, out) -> int:
         ),
     )
 
+    def banner(service: QueryService, port: int) -> str:
+        if tenant_registry is not None:
+            return _tenants_banner(
+                "serving", tenant_registry.tenant_ids, args, port
+            )
+        snapshot = state.current()
+        return (
+            f"serving {snapshot.n_documents} documents "
+            f"(k={snapshot.k}, "
+            f"{'live-updatable' if state.writable else 'read-only'}"
+            + (", durable" if store is not None else "")
+            + (", ann" if snapshot.ann is not None else "")
+            + f") on http://{args.host}:{port}"
+        )
+
+    def after_drain() -> None:
+        if store is not None:
+            # Graceful-drain flush: a clean restart replays zero records.
+            store.close(flush=True)
+            print("store flushed", file=out, flush=True)
+
+    _run_front_end(
+        lambda: QueryService(tenant_registry or state, config),
+        args, out, banner, after_drain=after_drain,
+    )
+    return 0
+
+
+def _tenants_banner(what: str, names, args, port: int) -> str:
+    """The start-up line of a lazily attaching multi-tenant front end."""
+    names = list(names)
+    return (
+        f"{what} {len(names)} tenants ({', '.join(names)}) lazily"
+        + (
+            f", max {args.max_resident} resident"
+            if args.max_resident is not None else ""
+        )
+        + f" on http://{args.host}:{port}"
+    )
+
+
+def _run_front_end(make_service, args, out, banner, *, after_drain=None):
+    """Serve ``make_service()`` over HTTP until SIGINT/SIGTERM, then drain.
+
+    The one run loop behind ``serve`` and ``cluster serve``: bind, print
+    the ``banner(service, port)`` line (its `` on http://host:port``
+    tail is what scripts parse), wait for a signal, stop accepting,
+    drain the service, run ``after_drain``, report ``drained cleanly``.
+    """
+    import asyncio
+    import signal
+
+    from repro.server import start_http_server
+
     async def run() -> None:
-        service = QueryService(tenant_registry or state, config)
+        service = make_service()
         server = await start_http_server(service, args.host, args.port)
         port = server.sockets[0].getsockname()[1]
-        if tenant_registry is not None:
-            names = ", ".join(tenant_registry.tenant_ids)
-            print(
-                f"serving {len(tenant_registry.tenant_ids)} tenants "
-                f"({names}) lazily"
-                + (
-                    f", max {args.max_resident} resident"
-                    if args.max_resident is not None else ""
-                )
-                + f" on http://{args.host}:{port}",
-                file=out, flush=True,
-            )
-        else:
-            snapshot = state.current()
-            print(
-                f"serving {snapshot.n_documents} documents "
-                f"(k={snapshot.k}, "
-                f"{'live-updatable' if state.writable else 'read-only'}"
-                + (", durable" if store is not None else "")
-                + (", ann" if snapshot.ann is not None else "")
-                + f") on http://{args.host}:{port}",
-                file=out, flush=True,
-            )
+        print(banner(service, port), file=out, flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -717,19 +745,16 @@ def _cmd_serve(args, out) -> int:
             except NotImplementedError:  # platforms without loop signals
                 signal.signal(sig, lambda *_: stop.set())
         await stop.wait()
-        print("draining: rejecting new requests, flushing the queue",
+        print("draining: rejecting new requests, finishing queued work",
               file=out, flush=True)
         server.close()
         await server.wait_closed()
         await service.drain()
-        if store is not None:
-            # Graceful-drain flush: a clean restart replays zero records.
-            store.close(flush=True)
-            print("store flushed", file=out, flush=True)
+        if after_drain is not None:
+            after_drain()
         print("drained cleanly", file=out, flush=True)
 
     asyncio.run(run())
-    return 0
 
 
 def _cmd_cluster(args, out) -> int:
@@ -830,11 +855,12 @@ def _cmd_cluster(args, out) -> int:
         return 0
 
     # serve
-    import asyncio
-    import signal
+    from functools import partial
 
     from repro.cluster import ClusterConfig, ClusterService
-    from repro.server import start_http_server
+    from repro.errors import ClusterConfigError
+    from repro.server import QueryService, ServerConfig
+    from repro.tenancy import IndexRegistry
 
     if (args.data_dir is None) == (args.tenants is None):
         raise ReproError(
@@ -869,6 +895,9 @@ def _cmd_cluster(args, out) -> int:
         miss_limit=args.heartbeat_misses,
         restart_backoff=args.restart_backoff,
         restart_backoff_cap=args.restart_backoff_cap,
+    )
+    server_config = ServerConfig(
+        queue_depth=args.queue_depth,
         default_timeout_ms=args.timeout_ms,
         default_probes=args.probes,
         slow_ms=args.slow_ms,
@@ -876,95 +905,86 @@ def _cmd_cluster(args, out) -> int:
             str(args.slowlog) if args.slowlog is not None else None
         ),
     )
-
-    tenant_map: dict[str, pathlib.Path] | None = None
-    if args.tenants is not None:
-        try:
-            raw = json.loads(args.tenants.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ReproError(f"cannot read {args.tenants}: {exc}")
-        except ValueError as exc:
-            raise ReproError(f"{args.tenants} is not valid JSON: {exc}")
-        if not isinstance(raw, dict) or not raw or not all(
-            isinstance(k, str) and isinstance(v, str)
-            for k, v in raw.items()
-        ):
-            raise ReproError(
-                f"{args.tenants} must be a non-empty JSON object "
-                "mapping tenant name -> store directory"
-            )
-        tenant_map = {name: pathlib.Path(path) for name, path in raw.items()}
-        for name, path in tenant_map.items():
-            if not path.is_dir():
-                raise ReproError(
-                    f"tenant {name!r}: {path} is not a directory"
-                )
-
     announce = lambda line: print(
         f"[supervisor] {line}", file=out, flush=True
     )
 
-    async def run() -> None:
-        if tenant_map is not None:
-            from repro.tenancy import TenantClusterService
+    if args.tenants is None:
+        def make_service() -> QueryService:
+            return QueryService(
+                ClusterService(args.data_dir, config, announce=announce),
+                server_config,
+            )
 
-            service = TenantClusterService(
-                tenant_map, config,
-                max_resident=args.max_resident,
-                queue_depth=args.queue_depth,
-                host=args.host,
-                announce=announce,
-            )
-        else:
-            service = ClusterService(
-                args.data_dir, config, announce=announce,
-            )
-        server = await start_http_server(service, args.host, args.port)
-        port = server.sockets[0].getsockname()[1]
-        if tenant_map is not None:
-            names = ", ".join(tenant_map)
-            print(
-                f"cluster serving {len(tenant_map)} tenants ({names}) "
-                "lazily"
+        def banner(service: QueryService, port: int) -> str:
+            fleet = service.state
+            return (
+                f"cluster serving {fleet.model.n_documents} documents "
+                f"across {fleet.plan.n_shards} shards "
+                f"(epoch {fleet.epoch}, checkpoint {fleet.checkpoint}"
                 + (
-                    f", max {args.max_resident} resident"
-                    if args.max_resident is not None else ""
+                    f", replication={fleet.plan.replication}"
+                    if fleet.plan.replication > 1 else ""
                 )
-                + f" on http://{args.host}:{port}",
-                file=out, flush=True,
+                + (", ann" if fleet.ann else "")
+                + (", writable" if fleet.primary is not None else "")
+                + (", standby" if fleet.standby is not None else "")
+                + f") on http://{args.host}:{port}"
             )
-        else:
-            print(
-                f"cluster serving {service.model.n_documents} documents "
-                f"across {service.plan.n_shards} shards "
-                f"(epoch {service.epoch}, checkpoint {service.checkpoint}"
-                + (
-                    f", replication={service.plan.replication}"
-                    if service.plan.replication > 1 else ""
-                )
-                + (", ann" if service.ann else "")
-                + (", writable" if service.primary is not None else "")
-                + (", standby" if service.standby is not None else "")
-                + f") on http://{args.host}:{port}",
-                file=out, flush=True,
+    else:
+        tenant_map = _read_tenant_map(args.tenants)
+        if args.writable or args.standby:
+            raise ClusterConfigError(
+                "multi-tenant cluster serving is read-only: --writable/"
+                "--standby own one store lock and one WAL each — run the "
+                "writer per tenant behind its own front end"
             )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # platforms without loop signals
-                signal.signal(sig, lambda *_: stop.set())
-        await stop.wait()
-        print("draining: stopping the router and workers",
-              file=out, flush=True)
-        server.close()
-        await server.wait_closed()
-        await service.drain()
-        print("drained cleanly", file=out, flush=True)
 
-    asyncio.run(run())
+        def fleet(tenant: str, data_dir: pathlib.Path) -> ClusterService:
+            announce(f"tenant {tenant}: attaching {data_dir}")
+            return ClusterService(
+                data_dir, config, host=args.host, announce=announce,
+                tenant=tenant,
+            )
+
+        def make_service() -> QueryService:
+            tenants = IndexRegistry(max_resident=args.max_resident)
+            for name, path in tenant_map.items():
+                tenants.register(
+                    name, data_dir=path, loader=partial(fleet, name, path)
+                )
+            tenants.add_detach_hook(
+                lambda tid, _fleet: announce(f"tenant {tid}: detaching (LRU)")
+            )
+            return QueryService(tenants, server_config)
+
+        def banner(service: QueryService, port: int) -> str:
+            return _tenants_banner("cluster serving", tenant_map, args, port)
+
+    _run_front_end(make_service, args, out, banner)
     return 0
+
+
+def _read_tenant_map(path: pathlib.Path) -> dict[str, pathlib.Path]:
+    """``cluster serve --tenants`` JSON → ``{name: store directory}``."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc}")
+    except ValueError as exc:
+        raise ReproError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict) or not raw or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in raw.items()
+    ):
+        raise ReproError(
+            f"{path} must be a non-empty JSON object mapping tenant "
+            "name -> store directory"
+        )
+    tenant_map = {name: pathlib.Path(p) for name, p in raw.items()}
+    for name, store_dir in tenant_map.items():
+        if not store_dir.is_dir():
+            raise ReproError(f"tenant {name!r}: {store_dir} is not a directory")
+    return tenant_map
 
 
 def _cmd_store(args, out) -> int:

@@ -15,8 +15,9 @@ The :mod:`~repro.cluster.supervisor` keeps workers alive (heartbeats,
 eviction, backoff restarts), and while one is down the router serves
 ``partial=True`` responses naming the unscored row ranges instead of
 failing.  :class:`~repro.cluster.service.ClusterService` packages the
-whole thing behind the existing HTTP front end (``repro cluster
-serve``).
+whole thing as one fleet — a backend of the same
+:class:`~repro.server.service.QueryService` front end ``repro serve``
+runs (``repro cluster serve``).
 
 With ``--writable`` the cluster also ingests: the
 :class:`~repro.cluster.primary.PrimaryWriter` owns the durable store's

@@ -1,15 +1,23 @@
-"""The cluster front end: checkpoint → plan → supervisor → router → HTTP.
+"""The cluster backend: checkpoint → plan → supervisor → router.
 
-:class:`ClusterService` presents the same duck-typed surface the HTTP
-front end (:mod:`repro.server.http`) expects from a
-:class:`~repro.server.service.QueryService` — ``start`` / ``drain`` /
-``search`` / ``healthz`` / ``stats`` / ``metrics`` — but answers queries
-by scattering over shard worker *processes* instead of scoring in-loop.
-It opens the newest durable-store checkpoint once (memory-mapped, for
-the vocabulary and query projection; workers map the same files
-themselves), pins a :class:`~repro.cluster.plan.ShardPlan` against that
-checkpoint's epoch, and wires the router's dead-connection reports into
-the supervisor's restart machinery.
+:class:`ClusterService` is one *fleet*: it answers queries by scattering
+over shard worker *processes* instead of scoring in-loop.  It opens the
+newest durable-store checkpoint once (memory-mapped, for the vocabulary
+and query projection; workers map the same files themselves), pins a
+:class:`~repro.cluster.plan.ShardPlan` against that checkpoint's epoch,
+and wires the router's dead-connection reports into the supervisor's
+restart machinery.
+
+A fleet is a backend, not a front end: the HTTP server always fronts a
+:class:`~repro.server.service.QueryService`, which pins the tenant,
+admits the request against its bounded queue and quotas, and then calls
+:meth:`ClusterService.execute` — one direct scatter per request.  The
+slow-query log, ``/metrics`` federation, and ``/trace`` assembly live
+there too; the fleet contributes :meth:`ClusterService.describe` for
+``/healthz`` and :meth:`~ClusterService.fetch_stats` /
+:meth:`~ClusterService.fetch_trace` for federation.  :meth:`search` and
+:meth:`search_many` stay as direct, un-admitted entries for tests and
+benchmarks.
 
 By default the cluster is a *read-only* serving tier: ``/add`` is
 refused with :class:`~repro.errors.ClusterReadOnlyError`, and a new
@@ -17,16 +25,16 @@ checkpoint is picked up by restarting the cluster.  With
 ``writable=True`` the service embeds the
 :class:`~repro.cluster.primary.PrimaryWriter`: ``/add`` WAL-logs
 through the durable store, the writer seals checkpoints on its policy
-and bumps the workers, and the front end hot-swaps its
-:class:`~repro.cluster.epochs.EpochHandle` — ``search`` snapshots the
-handle at entry, so in-flight queries finish against the superseded
+and bumps the workers, and the fleet hot-swaps its
+:class:`~repro.cluster.epochs.EpochHandle` — :meth:`execute` snapshots
+the handle at entry, so in-flight queries finish against the superseded
 epoch (which every worker retains) and zero queries drop across a bump.
 """
 
 from __future__ import annotations
 
+import asyncio
 import pathlib
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,19 +44,9 @@ from repro.cluster.epochs import EpochHandle, handle_for_checkpoint
 from repro.cluster.router import ClusterResult, ClusterRouter, RouterConfig
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.core.query import project_query
-from repro.errors import (
-    ClusterConfigError,
-    ClusterReadOnlyError,
-    StoreError,
-    UnknownTenantError,
-)
-from repro.obs.aggregate import label_snapshots
-from repro.obs.export import SCHEMA
+from repro.errors import ClusterConfigError, ClusterReadOnlyError, StoreError
 from repro.obs.metrics import registry
-from repro.obs.prom import render_prometheus
-from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace_context import current_trace
-from repro.obs.tracing import recent_spans, span, spans_for_trace
+from repro.obs.tracing import span
 from repro.store.checkpoint import latest_valid_checkpoint
 
 __all__ = ["ClusterConfig", "ClusterService"]
@@ -56,7 +54,11 @@ __all__ = ["ClusterConfig", "ClusterService"]
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Tunables for one cluster instance (CLI flags map 1:1 onto these)."""
+    """Tunables for one fleet (CLI flags map 1:1 onto these).
+
+    Request defaults (deadline, probes) and the slow-query log belong
+    to the front end's :class:`~repro.server.service.ServerConfig`.
+    """
 
     workers: int = 4
     #: Replicas per shard range; ``workers // replication`` ranges are
@@ -69,17 +71,6 @@ class ClusterConfig:
     miss_limit: int = 3
     restart_backoff: float = 0.5
     restart_backoff_cap: float = 10.0
-    default_timeout_ms: float | None = None
-    #: Default probe count for requests that don't specify one.  ``None``
-    #: keeps the exact scatter as the default; requests opt into the ANN
-    #: path with ``probes``, or force exactness with ``exact``.
-    default_probes: int | None = None
-    #: Slow-query log threshold (milliseconds); <= 0 disables the log.
-    slow_ms: float = 500.0
-    #: JSONL file for slow-query records (``None`` keeps them in-memory).
-    slowlog_path: str | None = None
-    #: Bound on retained slow-query records (memory and on-disk).
-    slowlog_max_records: int = 256
     #: Embed the primary writer: ``/add`` accepted, epochs bump live.
     writable: bool = False
     #: Writer seal policy — records threshold (``None`` disables).
@@ -104,7 +95,7 @@ class ClusterConfig:
 
 
 class ClusterService:
-    """Scatter-gather query service over one checkpoint, many processes."""
+    """Scatter-gather backend over one checkpoint, many processes."""
 
     def __init__(
         self,
@@ -155,19 +146,9 @@ class ClusterService:
         # configuration in its manifest.
         self.primary = None
         if self.config.writable:
-            from repro.cluster.primary import PrimaryWriter, WriterConfig
+            from repro.cluster.primary import PrimaryWriter
 
-            self.primary = PrimaryWriter(
-                self.data_dir,
-                WriterConfig(
-                    seal_every_records=self.config.seal_every_records,
-                    seal_interval_s=self.config.seal_interval_s,
-                    ingest_method=self.config.ingest_method,
-                    fast_update_rank=self.config.fast_update_rank,
-                    ann_clusters=self.config.ann_clusters,
-                    retain=self.config.retain,
-                ),
-            )
+            self.primary = PrimaryWriter(self.data_dir, self._writer_config())
 
         checkpoints = self.data_dir / STORE_LAYOUT["checkpoints"]
         info, problems = latest_valid_checkpoint(checkpoints)
@@ -178,7 +159,7 @@ class ClusterService:
             )
         # The handle memory-maps the checkpoint model for projection (U,
         # Σ, vocabulary); each worker maps the same .npy files itself —
-        # the page cache is shared.  ``search`` snapshots this reference
+        # the page cache is shared.  ``execute`` snapshots this reference
         # at entry; ``publish_handle`` replaces it atomically on bump.
         self._handle = handle_for_checkpoint(
             info.path,
@@ -216,7 +197,6 @@ class ClusterService:
         # runs, and installs itself as ``self.primary`` on promotion.
         self.standby = None
         if self.config.standby:
-            from repro.cluster.primary import WriterConfig
             from repro.cluster.standby import StandbyConfig, StandbyWriter
 
             self.standby = StandbyWriter(
@@ -224,23 +204,25 @@ class ClusterService:
                 StandbyConfig(
                     poll_seconds=self.config.standby_poll_s,
                     promotion_log=self.config.promotion_log,
-                    writer=WriterConfig(
-                        seal_every_records=self.config.seal_every_records,
-                        seal_interval_s=self.config.seal_interval_s,
-                        ingest_method=self.config.ingest_method,
-                        fast_update_rank=self.config.fast_update_rank,
-                        ann_clusters=self.config.ann_clusters,
-                        retain=self.config.retain,
-                    ),
+                    writer=self._writer_config(),
                 ),
             )
 
-        self.slowlog = SlowQueryLog(
-            self.config.slowlog_path,
-            threshold_ms=self.config.slow_ms,
-            max_records=self.config.slowlog_max_records,
-        )
         self._started = False
+        self._start_lock = asyncio.Lock()
+
+    def _writer_config(self):
+        """The primary's (or promoted standby's) seal/ingest policy."""
+        from repro.cluster.primary import WriterConfig
+
+        return WriterConfig(
+            seal_every_records=self.config.seal_every_records,
+            seal_interval_s=self.config.seal_interval_s,
+            ingest_method=self.config.ingest_method,
+            fast_update_rank=self.config.fast_update_rank,
+            ann_clusters=self.config.ann_clusters,
+            retain=self.config.retain,
+        )
 
     # ------------------------------------------------------------------ #
     # The serving epoch: every per-epoch attribute reads through one
@@ -311,8 +293,13 @@ class ClusterService:
 
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
-        """Spawn and attach every worker (idempotent)."""
-        if not self._started:
+        """Spawn and attach every worker (idempotent; concurrent callers
+        wait for the one spawn)."""
+        if self._started:
+            return
+        async with self._start_lock:
+            if self._started:
+                return
             with span("cluster.start", workers=self.plan.n_workers):
                 await self.supervisor.start()
             if self.primary is not None:
@@ -330,11 +317,6 @@ class ClusterService:
         await self.supervisor.drain()
         self._started = False
 
-    @property
-    def draining(self) -> bool:
-        """Whether shutdown has begun."""
-        return self.supervisor.draining
-
     # ------------------------------------------------------------------ #
     def _scale(self, Q: np.ndarray, model=None) -> np.ndarray:
         """``Q Σ`` — exactly ``DocumentIndex.prepare_queries`` in scaled
@@ -342,25 +324,7 @@ class ClusterService:
         s = (model if model is not None else self.model).s
         return np.atleast_2d(np.asarray(Q, dtype=np.float64)) * s
 
-    def _check_tenant(self, tenant: str | None) -> None:
-        """Refuse a tenant this fleet does not serve (typed 404).
-
-        A standalone cluster (``self.tenant is None``) accepts only
-        untargeted requests; a tenant-bound fleet accepts ``None`` (the
-        front end already routed) or its own id.
-        """
-        if tenant is None or tenant == self.tenant:
-            return
-        if self.tenant is not None:
-            message = (
-                f"this cluster serves tenant {self.tenant!r}, "
-                f"not {tenant!r}"
-            )
-        else:
-            message = f"this cluster is single-tenant; unknown tenant {tenant!r}"
-        raise UnknownTenantError(message, tenant=tenant)
-
-    async def search(
+    async def execute(
         self,
         query,
         *,
@@ -369,20 +333,14 @@ class ClusterService:
         timeout_ms: float | None = None,
         probes: int | None = None,
         exact: bool = False,
-        tenant: str | None = None,
-    ) -> dict:
-        """One ranked search, scattered over the shard workers.
+    ) -> tuple[dict, dict]:
+        """One ranked search through one scatter (the front end's entry).
 
-        ``probes`` bounds every shard's scan to the same coarse cells
-        (falling back to ``config.default_probes``, then to the exact
-        scatter); ``exact=True`` overrides any default.  ``tenant`` must
-        name this fleet's tenant (or be ``None``) — anything else is a
-        typed 404.  Never raises on worker death — degraded answers come
-        back with ``partial=True`` and the unscored ``[lo, hi)`` ranges
-        listed.
+        Returns ``(response, evidence)``: the JSON response (never an
+        exception on worker death — degraded answers carry
+        ``partial=True`` and the unscored ``[lo, hi)`` ranges) and the
+        per-shard timings, hedges and misses for the slow-query log.
         """
-        self._check_tenant(tenant)
-        t0 = time.perf_counter()
         # One epoch per request: project, scatter, and label against the
         # same handle even if the writer publishes a bump mid-flight.
         handle = self._handle
@@ -392,70 +350,37 @@ class ClusterService:
             plan=handle.plan,
             top=top,
             threshold=threshold,
-            timeout_ms=(
-                timeout_ms if timeout_ms is not None
-                else self.config.default_timeout_ms
-            ),
-            probes=(
-                probes if probes is not None
-                else self.config.default_probes
-            ),
+            timeout_ms=timeout_ms,
+            probes=probes,
             exact=exact,
         )
-        self._record_slow(
-            time.perf_counter() - t0, result, top=top, probes=probes
-        )
         doc_ids = handle.model.doc_ids
-        payload = {
+        missing = [list(pair) for pair in result.missing]
+        response = {
             "epoch": result.epoch,
             "n_documents": handle.n_documents,
             "partial": result.partial,
-            "missing": [list(pair) for pair in result.missing],
+            "missing": missing,
             "results": [
                 [i, score, doc_ids[i]] for i, score in result.results[0]
             ],
         }
-        if self.tenant is not None:
-            payload["tenant"] = self.tenant
-        return payload
-
-    def _record_slow(
-        self,
-        elapsed_s: float,
-        result: ClusterResult,
-        *,
-        top: int | None,
-        probes: int | None,
-    ) -> None:
-        """Dump an over-threshold request's trace evidence to the slow log."""
-        if not self.slowlog.is_slow(elapsed_s):
-            return
-        registry.inc("cluster.slow_queries_total")
-        ctx = current_trace()
-        trace_id = ctx.trace_id if ctx is not None else None
-        entry = {
-            "ts": time.time(),
-            "trace_id": trace_id,
-            "duration_ms": elapsed_s * 1000.0,
-            "top": top,
-            "probes": probes,
+        evidence = {
             "partial": result.partial,
-            **({"tenant": self.tenant} if self.tenant is not None else {}),
-            "missing": [list(pair) for pair in result.missing],
+            "missing": missing,
             "shard_timings": {
                 str(sid): ms for sid, ms in sorted(result.shard_timings.items())
             },
             "hedged": result.hedged,
             "deadline_missed": result.deadline_missed,
         }
-        if trace_id is not None:
-            # The router-side spans already captured for this trace —
-            # scatter and merge costs, with hedges/misses flagged in
-            # their attrs.  Worker spans stay fetchable via /trace.
-            entry["spans"] = [
-                s.to_dict() for s in spans_for_trace(trace_id)
-            ]
-        self.slowlog.record(entry)
+        return response, evidence
+
+    async def search(self, query, **options) -> dict:
+        """:meth:`execute`'s response alone — direct and un-admitted
+        (tests and benchmarks; HTTP traffic goes through the front end)."""
+        response, _ = await self.execute(query, **options)
+        return response
 
     async def search_many(
         self,
@@ -466,7 +391,6 @@ class ClusterService:
         timeout_ms: float | None = None,
         probes: int | None = None,
         exact: bool = False,
-        tenant: str | None = None,
     ) -> ClusterResult:
         """A whole batch through one scatter (bench/parity entry point).
 
@@ -474,7 +398,6 @@ class ClusterService:
         array — the same convention as ``sharded_batch_search``, whose
         output this is element-identical to when all workers are live.
         """
-        self._check_tenant(tenant)
         handle = self._handle
         if isinstance(queries, np.ndarray):
             Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -487,18 +410,12 @@ class ClusterService:
             plan=handle.plan,
             top=top,
             threshold=threshold,
-            timeout_ms=(
-                timeout_ms if timeout_ms is not None
-                else self.config.default_timeout_ms
-            ),
-            probes=(
-                probes if probes is not None
-                else self.config.default_probes
-            ),
+            timeout_ms=timeout_ms,
+            probes=probes,
             exact=exact,
         )
 
-    async def add(self, texts, doc_ids=None, *, tenant: str | None = None) -> dict:
+    async def add(self, texts, doc_ids=None) -> dict:
         """Ingest through the primary writer, or refuse read-only.
 
         Writable: returns once the batch is WAL-fsynced (``durable``);
@@ -508,7 +425,6 @@ class ClusterService:
         raises the typed :class:`ClusterReadOnlyError` the HTTP layer
         maps to 403, request id attached server-side.
         """
-        self._check_tenant(tenant)
         if self.primary is None:
             if self.standby is not None:
                 raise ClusterReadOnlyError(
@@ -525,11 +441,11 @@ class ClusterService:
         return await self.primary.add_texts(texts, doc_ids)
 
     # ------------------------------------------------------------------ #
-    def healthz(self) -> dict:
-        """Cluster liveness: worker table (with per-worker checkpoint
-        epoch), live count, degradation, and the writer block — enabled
-        flag, WAL position, and ``lag_records`` (acknowledged but not
-        yet sealed/remapped) when the cluster is writable."""
+    def describe(self) -> dict:
+        """The fleet's ``/healthz`` block: worker table (with per-worker
+        checkpoint epoch), live count, degradation, and the writer block
+        — enabled flag, WAL position, and ``lag_records`` (acknowledged
+        but not yet sealed/remapped) when the cluster is writable."""
         handle = self._handle
         workers = self.supervisor.describe()
         ranges = self.supervisor.describe_ranges()
@@ -539,7 +455,7 @@ class ClusterService:
         # siblings.  Only a range with zero healthy replicas (which at
         # replication 1 is any dead worker) degrades the cluster.
         uncovered = sum(1 for r in ranges if r["replicas_healthy"] == 0)
-        if self.draining:
+        if self.supervisor.draining:
             status = "draining"
         elif uncovered > 0:
             status = "degraded"
@@ -551,7 +467,7 @@ class ClusterService:
             writer = self.primary.describe(handle.epoch)
         payload = {
             "status": status,
-            "draining": self.draining,
+            "draining": self.supervisor.draining,
             "epoch": handle.epoch,
             "checkpoint": handle.checkpoint,
             "n_documents": handle.n_documents,
@@ -563,8 +479,6 @@ class ClusterService:
             "ranges": ranges,
             "writer": writer,
             "ann": handle.ann,
-            "default_probes": self.config.default_probes,
-            "slowlog": self.slowlog.describe(),
         }
         if self.tenant is not None:
             payload["tenant"] = self.tenant
@@ -572,60 +486,10 @@ class ClusterService:
             payload["standby"] = self.standby.describe()
         return payload
 
-    def stats(self) -> dict:
-        """The observability snapshot for ``/stats`` (obs-export schema)."""
-        return {
-            "schema": SCHEMA,
-            "server": self.healthz(),
-            "metrics": registry.snapshot(),
-            "spans": [s.to_dict() for s in recent_spans(50)],
-            "slow_queries": self.slowlog.recent(20),
-        }
+    async def fetch_stats(self) -> dict[int, dict]:
+        """Every live worker's registry snapshot, keyed by worker id."""
+        return await self.router.fetch_stats()
 
-    async def metrics(self) -> dict:
-        """The federated fleet registry dump for ``/metrics``.
-
-        Same flat ``{counters, gauges, histograms}`` JSON shape as the
-        single-process server (backward compatible); every live worker's
-        shipped registry rides along under a ``shard.<sid>.`` prefix.
-        """
-        worker_snaps = await self.router.fetch_stats()
-        return label_snapshots(
-            registry.snapshot(),
-            {sid: snap for sid, snap in worker_snaps.items()},
-        )
-
-    async def metrics_prom(self) -> str:
-        """Prometheus text exposition for ``/metrics?format=prom``.
-
-        The router's registry renders with a ``worker="router"`` label
-        and each live shard worker's with ``worker="<sid>"`` — one
-        family per metric, per-worker-labeled samples beneath.
-        """
-        worker_snaps = await self.router.fetch_stats()
-        series = [({"worker": "router"}, registry.snapshot())]
-        for sid in sorted(worker_snaps):
-            series.append(({"worker": str(sid)}, worker_snaps[sid]))
-        return render_prometheus(series)
-
-    async def trace(self, trace_id: str) -> dict:
-        """Reassemble one cluster-wide trace: local + worker spans.
-
-        Worker spans are fetched over the ``trace`` wire op and tagged
-        with their shard id; the whole set sorts by start time, so the
-        JSONL export reads as one coherent distributed timeline.
-        """
-        local = [s.to_dict() for s in spans_for_trace(trace_id)]
-        for record in local:
-            record["worker"] = "router"
-        remote = await self.router.fetch_trace(trace_id)
-        for sid, spans in sorted(remote.items()):
-            for record in spans:
-                record["worker"] = str(sid)
-            local.extend(spans)
-        local.sort(key=lambda r: float(r.get("start", 0.0)))
-        return {
-            "trace_id": trace_id,
-            "workers": sorted(str(sid) for sid in remote),
-            "spans": local,
-        }
+    async def fetch_trace(self, trace_id: str) -> dict[int, list[dict]]:
+        """Every live worker's spans for ``trace_id``, keyed by worker id."""
+        return await self.router.fetch_trace(trace_id)

@@ -67,9 +67,6 @@ def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(shards)]
 
 
-#: Backwards-compatible private alias (pre-cluster callers).
-_shard_bounds = shard_bounds
-
 #: A shard's answer for one query that matched nothing.
 _EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
@@ -136,7 +133,7 @@ def sharded_search(
     with span("lsi.search.sharded", shards=shards, top=top):
         index = get_document_index(model, mode="scaled")
         Qs = index.prepare_queries(np.asarray(qhat, dtype=np.float64).ravel())
-        parts = _shard_bounds(index.n_documents, shards)
+        parts = shard_bounds(index.n_documents, shards)
 
         def search_shard(
             bounds: tuple[int, int],
@@ -181,7 +178,7 @@ def sharded_batch_search(
                 Q = batch_project_queries(model, queries)
         index = get_document_index(model, mode="scaled")
         Qs = index.prepare_queries(Q)
-        parts = _shard_bounds(index.n_documents, shards)
+        parts = shard_bounds(index.n_documents, shards)
 
         def search_shard(
             bounds: tuple[int, int],

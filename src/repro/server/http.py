@@ -17,16 +17,19 @@ Routes
     → ``{"epoch", "n_documents", "action", "reason"}``
 ``GET /healthz``  liveness + epoch + queue depth + draining flag
 ``GET /metrics``  the metrics-registry dump (counters/gauges/hists);
-    on a cluster front end the JSON federates every live worker's
-    registry, and ``?format=prom`` renders Prometheus text exposition
-    with per-worker labels instead
+    when the service fronts cluster fleets the JSON federates every
+    live worker's registry, and ``?format=prom`` renders Prometheus
+    text exposition with per-worker labels instead
 ``GET /stats``    the obs-export snapshot (metrics registry + spans +
     slow-query tail)
 ``GET /trace?id=<trace_id>``  the assembled trace for one request id —
-    on a cluster front end this pulls each worker's spans over the
+    for a cluster fleet this pulls each worker's spans over the
     ``trace`` wire op and merges them with the router's
-``GET /tenants``  the tenant registry + quota status on a multi-tenant
-    service (registered/resident tenants, pins, admission shares)
+``GET /tenants``  the tenant registry + quota status (registered/
+    resident tenants, pins, admission shares)
+
+Every route calls the one :class:`~repro.server.service.QueryService`
+surface, whatever backs its tenants.
 
 Multi-tenant routing: ``/search`` and ``/add`` take the tenant id from
 a ``tenant`` body field (preferred) or an ``X-Tenant`` header; omitting
@@ -169,13 +172,6 @@ def _respond(
     writer.write(head + body)
 
 
-async def _maybe_await(value):
-    """Normalize sync (QueryService) vs async (ClusterService) results."""
-    if asyncio.iscoroutine(value):
-        return await value
-    return value
-
-
 def _tenant_from(headers: dict, body: dict) -> str | None:
     """The request's tenant id: ``tenant`` body field over ``X-Tenant``."""
     tenant = body.get("tenant", headers.get("x-tenant"))
@@ -197,27 +193,16 @@ async def _dispatch(
     if method == "GET" and path == "/stats":
         return 200, service.stats()
     if method == "GET" and path == "/tenants":
-        tenants = getattr(service, "tenants", None)
-        if tenants is None:
-            return 400, {"error": "this service has no tenant registry"}
-        return 200, await _maybe_await(tenants())
+        return 200, service.tenants()
     if method == "GET" and path == "/metrics":
         if params.get("format", ["json"])[-1] == "prom":
-            prom = getattr(service, "metrics_prom", None)
-            if prom is None:
-                return 400, {
-                    "error": "this service has no Prometheus exposition"
-                }
-            return 200, PlainText(await _maybe_await(prom()))
-        return 200, await _maybe_await(service.metrics())
+            return 200, PlainText(await service.metrics_prom())
+        return 200, await service.metrics()
     if method == "GET" and path == "/trace":
         trace_ids = params.get("id", [])
         if not trace_ids or not trace_ids[-1]:
             return 400, {"error": "missing 'id' query parameter"}
-        trace = getattr(service, "trace", None)
-        if trace is None:
-            return 400, {"error": "this service does not assemble traces"}
-        return 200, await _maybe_await(trace(trace_ids[-1]))
+        return 200, await service.trace(trace_ids[-1])
     if method == "POST" and path == "/search":
         if "query" not in body:
             return 400, {"error": "missing 'query'"}

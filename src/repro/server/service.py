@@ -1,32 +1,28 @@
-"""The query service: admission → quotas → micro-batching → epoch state.
+"""The query front end: tenant pin → admission and quotas → backend.
 
-:class:`QueryService` is the transport-independent core of the server —
-the HTTP front end (:mod:`repro.server.http`), the benchmarks, and the
-integration tests all drive this one object.  Since the multi-tenant
-refactor it serves N named tenants, each resolved through an
-:class:`~repro.tenancy.registry.IndexRegistry`; constructing it from a
-bare :class:`~repro.server.state.ServingState` wraps the state in a
-one-tenant registry, so single-tenant serving is the ``tenant=None``
-special case of the same code path:
+:class:`QueryService` is the one transport-independent front end — the
+HTTP server (:mod:`repro.server.http`), the benchmarks, and the
+integration tests all drive it, for single-process and cluster serving
+alike.  Tenants resolve through an
+:class:`~repro.tenancy.registry.IndexRegistry`; a bare backend is
+wrapped in a one-tenant registry, so single-tenant serving is the
+``tenant=None`` special case of the same path.  A tenant's backend is
+either a local :class:`~repro.server.state.ServingState`, scored through
+the tenant's :class:`~repro.server.batching.MicroBatcher` (concurrent
+queries coalesce into one GEMM, element-identical to
+``LSIRetrieval.search``), or a :class:`~repro.cluster.service.
+ClusterService` fleet, answered by one direct scatter per request
+(element-identical to ``sharded_batch_search``).
 
-* :meth:`search` pins the request's tenant (lazily attaching a cold
-  one), admits it against the global bounded queue *and* the tenant's
-  quota share (fast 429-style rejection on overload — per-tenant
-  ``reason="tenant_quota"`` when one hot tenant is over budget),
-  enqueues it with that tenant's micro-batcher, and awaits its row of
-  the batched GEMM — results element-identical to
-  ``LSIRetrieval.search``;
-* :meth:`add` serializes document additions through the tenant's
-  epoch-swapped :class:`~repro.server.state.ServingState` (fold-in →
-  §4.3-policy consolidation via the index manager) on an executor
-  thread, so the event loop keeps serving while the SVD machinery runs;
-* :meth:`drain` is graceful shutdown: flip the admission latch (new
-  work → 503), flush every tenant's queued requests, stop the
-  schedulers.
-
-Every stage reports through :data:`repro.obs.metrics.registry` under
-``server.*`` plus per-tenant ``tenant.<id>.*`` counters/gauges — all
-visible via ``/stats`` or ``python -m repro stats``.
+Every request is pinned to its tenant (lazily attaching a cold one),
+admitted against the global bounded queue *and* the tenant's quota
+share (fast 429 on overload, ``reason="tenant_quota"`` for a hot
+tenant), then executed on the backend.  :meth:`QueryService.drain`
+flips the admission latch (new work → 503), flushes queued requests,
+drains every fleet (SIGTERM + reap), and waits for backends retired by
+LRU detach.  One slow-query log, one federated ``/metrics``, one
+``/trace`` assembly; every stage reports ``server.*`` and per-tenant
+``tenant.<id>.*`` metrics through :data:`repro.obs.metrics.registry`.
 """
 
 from __future__ import annotations
@@ -36,9 +32,10 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.obs.aggregate import label_snapshots
 from repro.obs.export import SCHEMA
 from repro.obs.metrics import registry
-from repro.obs.prom import render_snapshot
+from repro.obs.prom import render_prometheus
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace_context import current_trace
 from repro.obs.tracing import recent_spans, spans_for_trace
@@ -81,17 +78,15 @@ class ServerConfig:
 
 
 class QueryService:
-    """Admission-controlled, micro-batched query service over N tenants."""
+    """Admission-controlled query front end over N tenant backends."""
 
-    def __init__(
-        self,
-        state: ServingState | IndexRegistry,
-        config: ServerConfig | None = None,
-    ):
-        if isinstance(state, IndexRegistry):
-            self.registry = state
+    def __init__(self, backend, config: ServerConfig | None = None):
+        """``backend``: a :class:`ServingState`, a cluster fleet, or an
+        :class:`IndexRegistry` whose loaders return either."""
+        if isinstance(backend, IndexRegistry):
+            self.registry = backend
         else:
-            self.registry = IndexRegistry.single(state)
+            self.registry = IndexRegistry.single(backend)
         self.config = config or ServerConfig()
         self.admission = AdmissionController(self.config.queue_depth)
         self.quotas = TenantQuotas(self.config.queue_depth)
@@ -101,8 +96,11 @@ class QueryService:
             threshold_ms=self.config.slow_ms,
             max_records=self.config.slowlog_max_records,
         )
-        #: One scheduler per resident tenant, created on first query.
+        #: One scheduler per resident local tenant, created on first query.
         self._batchers: dict[str, MicroBatcher] = {}
+        #: Retirements of LRU-detached backends still running; held here
+        #: so none is garbage-collected mid-flight, and awaited by drain.
+        self._retiring: set[asyncio.Task] = set()
         self._add_lock = asyncio.Lock()
         self._started = False
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -110,14 +108,22 @@ class QueryService:
 
     # ------------------------------------------------------------------ #
     @property
-    def state(self) -> ServingState:
-        """The default tenant's state (single-tenant back-compat)."""
+    def state(self):
+        """The default tenant's backend (single-tenant back-compat)."""
         return self.registry.resolve(None)[1]
 
     @property
     def multi_tenant(self) -> bool:
         """Whether the registry hosts more than one tenant."""
         return len(self.registry.tenant_ids) > 1
+
+    def _fleets(self) -> list[tuple[str, object]]:
+        """``(tenant_id, fleet)`` for every resident cluster backend."""
+        return [
+            (tid, backend)
+            for tid, backend in sorted(self.registry.resident_states().items())
+            if not isinstance(backend, ServingState)
+        ]
 
     def _batcher_for(self, tenant_id: str, state: ServingState) -> MicroBatcher:
         """The tenant's scheduler, created (and started) on demand."""
@@ -137,27 +143,44 @@ class QueryService:
                 batcher.start()
         return batcher
 
-    def _on_detach(self, tenant_id: str, state: ServingState) -> None:
-        """Registry detach hook: retire the tenant's scheduler.
-
-        Detach only happens with zero pins, and every queued request
-        holds a pin until its future resolves — so the batcher's queue
-        is empty here and cancelling its task drops no work.
-        """
-        batcher = self._batchers.pop(tenant_id, None)
-        if batcher is None or self._loop is None or self._loop.is_closed():
+    def _on_detach(self, tenant_id: str, backend) -> None:
+        """Registry detach hook: stop the evicted tenant's batcher, or
+        drain its fleet (SIGTERM + reap).  Detach happens only at zero
+        pins, so neither drops an in-flight query."""
+        if isinstance(backend, ServingState):
+            batcher = self._batchers.pop(tenant_id, None)
+            if batcher is None:
+                return
+            retire = batcher.stop
+        else:
+            retire = backend.drain
+        loop = self._loop
+        if loop is None or loop.is_closed():
             return
-        self._loop.call_soon_threadsafe(
-            lambda: self._loop.create_task(batcher.stop())
-        )
+
+        def spawn() -> None:
+            task = loop.create_task(retire())
+            self._retiring.add(task)
+            task.add_done_callback(self._retiring.discard)
+
+        try:
+            on_loop = asyncio.get_running_loop() is loop
+        except RuntimeError:  # called from a thread outside the loop
+            on_loop = False
+        if on_loop:
+            spawn()
+        else:
+            loop.call_soon_threadsafe(spawn)
 
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
-        """Start the batching schedulers (idempotent)."""
+        """Start the schedulers and spawn resident fleets (idempotent)."""
         if not self._started:
             self._loop = asyncio.get_running_loop()
             for batcher in self._batchers.values():
                 batcher.start()
+            for _tid, fleet in self._fleets():
+                await fleet.start()
             self._started = True
             registry.set_gauge("server.draining", 0.0)
 
@@ -168,12 +191,12 @@ class QueryService:
             await batcher.drain()
         for batcher in list(self._batchers.values()):
             await batcher.stop()
+        for _tid, fleet in self._fleets():
+            await fleet.drain()
+        # A fleet evicted just before shutdown is still being reaped;
+        # returning now would leave its worker processes behind.
+        await asyncio.gather(*list(self._retiring), return_exceptions=True)
         self._started = False
-
-    @property
-    def draining(self) -> bool:
-        """Whether the service has begun (or finished) draining."""
-        return self.admission.draining
 
     # ------------------------------------------------------------------ #
     async def search(
@@ -187,25 +210,21 @@ class QueryService:
         exact: bool = False,
         tenant: str | None = None,
     ) -> dict:
-        """One ranked search, answered from a coalesced batch.
+        """One ranked search on the tenant's backend.
 
-        ``tenant`` routes the query (``None`` means the default/sole
-        tenant); an unknown id raises
-        :class:`~repro.errors.UnknownTenantError` before any admission
-        work.  The tenant stays pinned until the response resolves, so
-        an LRU eviction decided mid-flight detaches only after this (and
-        every other in-flight) query drains.  ``probes`` bounds the scan
-        to that many coarse cells (falling back to
-        ``config.default_probes``, then to the exact scan);
-        ``exact=True`` overrides any default.  Raises
-        :class:`~repro.errors.ServerOverloadError` when the bounded
-        queue is full, the tenant is over its quota share
-        (``reason="tenant_quota"``), or the service is draining, and
-        :class:`~repro.errors.DeadlineExceededError` when the request's
-        deadline expires before its batch is scored.
+        ``tenant=None`` means the default/sole tenant; an unknown id
+        raises :class:`~repro.errors.UnknownTenantError` before any
+        admission work.  The pin holds until the response resolves, so
+        an LRU eviction decided mid-flight waits for this query.
+        ``probes`` falls back to ``config.default_probes``, then to the
+        exact scan; ``exact=True`` overrides any default.  Raises
+        :class:`~repro.errors.ServerOverloadError` (queue full, tenant
+        over quota, draining) and, on a local backend,
+        :class:`~repro.errors.DeadlineExceededError` (a fleet answers
+        ``partial`` without the late shards instead).
         """
         registry.inc("server.requests_total")
-        with self.registry.pin(tenant) as (tid, state):
+        with self.registry.pin(tenant) as (tid, backend):
             self.quotas.ensure(self.registry.tenant_ids)
             self.admission.admit()
             try:
@@ -215,25 +234,38 @@ class QueryService:
                 raise
             t0 = time.perf_counter()
             try:
-                request = SearchRequest(
-                    query=query,
-                    top=top,
-                    threshold=threshold,
-                    probes=(
-                        probes if probes is not None
-                        else self.config.default_probes
-                    ),
-                    exact=exact,
-                    deadline=AdmissionController.deadline_from(
-                        timeout_ms
-                        if timeout_ms is not None
-                        else self.config.default_timeout_ms
-                    ),
-                    trace=current_trace(),
-                    future=asyncio.get_running_loop().create_future(),
+                if timeout_ms is None:
+                    timeout_ms = self.config.default_timeout_ms
+                effective_probes = (
+                    probes if probes is not None
+                    else self.config.default_probes
                 )
-                self._batcher_for(tid, state).submit(request)
-                result = await request.future
+                evidence = None
+                if isinstance(backend, ServingState):
+                    request = SearchRequest(
+                        query=query,
+                        top=top,
+                        threshold=threshold,
+                        probes=effective_probes,
+                        exact=exact,
+                        deadline=AdmissionController.deadline_from(
+                            timeout_ms
+                        ),
+                        trace=current_trace(),
+                        future=asyncio.get_running_loop().create_future(),
+                    )
+                    self._batcher_for(tid, backend).submit(request)
+                    result = await request.future
+                else:
+                    await backend.start()
+                    result, evidence = await backend.execute(
+                        query,
+                        top=top,
+                        threshold=threshold,
+                        timeout_ms=timeout_ms,
+                        probes=effective_probes,
+                        exact=exact,
+                    )
                 if tenant is not None or self.multi_tenant:
                     result["tenant"] = tid
                 self._record_slow(
@@ -241,6 +273,7 @@ class QueryService:
                     top=top,
                     probes=probes,
                     tenant=tid,
+                    evidence=evidence,
                 )
                 return result
             finally:
@@ -256,9 +289,12 @@ class QueryService:
         *,
         top: int | None,
         probes: int | None,
-        tenant: str | None = None,
+        tenant: str,
+        evidence: dict | None = None,
     ) -> None:
-        """Dump an over-threshold request's trace evidence to the slow log."""
+        """Dump an over-threshold request's trace evidence to the slow
+        log, with the backend's ``evidence`` (a fleet's per-shard
+        timings, hedges, deadline misses, and missing ranges)."""
         if not self.slowlog.is_slow(elapsed_s):
             return
         registry.inc("server.slow_queries_total")
@@ -271,10 +307,12 @@ class QueryService:
             "top": top,
             "probes": probes,
             "queue_depth": self.admission.pending,
+            "tenant": tenant,
+            **(evidence or {}),
         }
-        if tenant is not None:
-            entry["tenant"] = tenant
         if trace_id is not None:
+            # The spans this process captured for the trace; a fleet's
+            # worker spans stay fetchable via /trace.
             entry["spans"] = [
                 s.to_dict() for s in spans_for_trace(trace_id)
             ]
@@ -287,46 +325,66 @@ class QueryService:
         *,
         tenant: str | None = None,
     ) -> dict:
-        """Add documents live; returns the new epoch description.
+        """Add documents live; returns the new epoch (or a fleet's WAL ack).
 
-        Updates are serialized (one writer at a time) and run on an
-        executor thread; readers never wait — in-flight batches finish
-        against their pinned epoch, later batches see the new one.
-        Lazily attached tenants are read-only mmap opens, so ``/add``
-        against one raises (HTTP 400) like any saved-model server.
+        Local updates are serialized and run on an executor thread;
+        readers never wait — in-flight batches finish against their
+        pinned epoch.  A fleet hands the batch to its primary writer or
+        refuses it (HTTP 403).  Lazily attached tenants are read-only,
+        so a write to one is refused before anything attaches.
         """
         registry.inc("server.adds_total")
         t0 = time.perf_counter()
-        with self.registry.pin(tenant) as (_tid, state):
-            async with self._add_lock:
-                loop = asyncio.get_running_loop()
-                result = await loop.run_in_executor(
-                    None, state.add_texts, list(texts), doc_ids
-                )
+        self.registry.check_writable(tenant)
+        with self.registry.pin(tenant) as (_tid, backend):
+            if isinstance(backend, ServingState):
+                async with self._add_lock:
+                    loop = asyncio.get_running_loop()
+                    result = await loop.run_in_executor(
+                        None, backend.add_texts, list(texts), doc_ids
+                    )
+            else:
+                result = await backend.add(texts, doc_ids)
         registry.observe("server.add_seconds", time.perf_counter() - t0)
         return result
 
     # ------------------------------------------------------------------ #
     def healthz(self) -> dict:
-        """Liveness/readiness summary for ``/healthz``."""
+        """Liveness/readiness summary for ``/healthz``: the sole
+        backend's fields at top level (a fleet's worker table, ranges and
+        writer block included), or the tenant table plus each resident
+        fleet's block under ``fleets``."""
+        # Resolve first: a lazily registered sole tenant attaches here.
+        sole = None if self.multi_tenant else self.registry.resolve(None)
+        fleets = {tid: fleet.describe() for tid, fleet in self._fleets()}
+        if self.admission.draining:
+            status = "draining"
+        elif any(f["status"] == "degraded" for f in fleets.values()):
+            status = "degraded"
+        else:
+            status = "ok"
         base = {
-            "status": "draining" if self.admission.draining else "ok",
+            "status": status,
             "draining": self.admission.draining,
             "queue_depth": self.admission.pending,
             "queue_capacity": self.admission.queue_depth,
             "default_probes": self.config.default_probes,
             "slowlog": self.slowlog.describe(),
         }
-        if self.multi_tenant:
+        if sole is None:
             base["tenants"] = self.registry.describe()
             base["max_resident"] = self.registry.max_resident
+            base["fleets"] = fleets
             return base
-        snapshot = self.state.current()
+        tid, backend = sole
+        if tid in fleets:
+            return {**fleets[tid], **base}
+        snapshot = backend.current()
         base.update(
             {
                 "epoch": snapshot.epoch,
                 "n_documents": snapshot.n_documents,
-                "writable": self.state.writable,
+                "writable": backend.writable,
                 "ann": snapshot.ann is not None,
             }
         )
@@ -350,18 +408,53 @@ class QueryService:
             "slow_queries": self.slowlog.recent(20),
         }
 
-    def metrics(self) -> dict:
-        """The bare metrics registry dump for ``/metrics``."""
-        return registry.snapshot()
+    async def metrics(self) -> dict:
+        """Flat ``{counters, gauges, histograms}`` for ``/metrics``: this
+        process's registry plus every resident fleet's live workers under
+        ``shard.<sid>.`` (``tenant.<id>.shard.<sid>.`` with several
+        tenants)."""
+        merged = registry.snapshot()
+        for tid, fleet in self._fleets():
+            prefix = f"tenant.{tid}.shard." if self.multi_tenant else "shard."
+            merged = label_snapshots(
+                merged, await fleet.fetch_stats(), prefix=prefix
+            )
+        return merged
 
-    def metrics_prom(self) -> str:
-        """Prometheus text exposition for ``/metrics?format=prom``."""
-        return render_snapshot(registry.snapshot(), {"worker": "server"})
+    async def metrics_prom(self) -> str:
+        """Prometheus text for ``/metrics?format=prom``: this process as
+        ``worker="server"`` (``"router"`` while it fronts resident
+        fleets), each fleet worker as ``worker="<sid>"`` (plus
+        ``tenant`` with several tenants)."""
+        fleets = self._fleets()
+        series = [
+            ({"worker": "router" if fleets else "server"}, registry.snapshot())
+        ]
+        for tid, fleet in fleets:
+            snaps = await fleet.fetch_stats()
+            for sid in sorted(snaps):
+                labels = {"worker": str(sid)}
+                if self.multi_tenant:
+                    labels["tenant"] = tid
+                series.append((labels, snaps[sid]))
+        return render_prometheus(series)
 
-    def trace(self, trace_id: str) -> dict:
-        """One request's spans for ``/trace?id=`` (single process)."""
-        return {
-            "trace_id": trace_id,
-            "workers": [],
-            "spans": [s.to_dict() for s in spans_for_trace(trace_id)],
-        }
+    async def trace(self, trace_id: str) -> dict:
+        """One request's spans for ``/trace?id=``, time-sorted across
+        this process and every resident fleet's workers (tagged ``<sid>``,
+        or ``<tenant>:<sid>`` with several tenants)."""
+        fleets = self._fleets()
+        spans = [s.to_dict() for s in spans_for_trace(trace_id)]
+        for record in spans:
+            record["worker"] = "router" if fleets else "server"
+        workers: list[str] = []
+        for tid, fleet in fleets:
+            remote = await fleet.fetch_trace(trace_id)
+            for sid, records in sorted(remote.items()):
+                label = f"{tid}:{sid}" if self.multi_tenant else str(sid)
+                workers.append(label)
+                for record in records:
+                    record["worker"] = label
+                spans.extend(records)
+        spans.sort(key=lambda r: float(r.get("start", 0.0)))
+        return {"trace_id": trace_id, "workers": workers, "spans": spans}

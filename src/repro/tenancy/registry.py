@@ -1,7 +1,10 @@
 """Index registry: named tenants, lazy mmap attach, LRU detach.
 
-The registry owns the ``tenant_id -> ServingState`` map every serving
-path resolves through.  Three registration flavours:
+The registry owns the ``tenant_id -> backend`` map every serving path
+resolves through; a backend is a
+:class:`~repro.server.state.ServingState` or a cluster fleet
+(:class:`~repro.cluster.service.ClusterService`).  Three registration
+flavours:
 
 * an **eager state** (``state=``) — already built, never evicted (there
   is no loader to come back through);
@@ -10,8 +13,12 @@ path resolves through.  Three registration flavours:
   (:func:`~repro.store.mmap_io.open_latest_model`), which takes no lock
   and reflects the last sealed checkpoint;
 * a **custom loader** (``loader=``) — any zero-argument callable
-  returning a :class:`~repro.server.state.ServingState` (the cluster
-  front end uses this to spawn a tenant's worker fleet on demand).
+  returning a backend (``repro cluster serve --tenants`` uses this to
+  spawn a tenant's read-only worker fleet on demand).
+
+Lazily registered tenants are read-only by construction, so
+:meth:`IndexRegistry.check_writable` refuses a write to one from its
+registration alone — without attaching it.
 
 With ``max_resident`` set, attaching a tenant past the cap detaches the
 least-recently-used evictable one — but never under in-flight queries:
@@ -35,7 +42,7 @@ import threading
 from pathlib import Path
 from typing import Callable, Iterator
 
-from repro.errors import ReproError, UnknownTenantError
+from repro.errors import ClusterReadOnlyError, ReproError, UnknownTenantError
 from repro.obs.metrics import registry as metrics
 from repro.server.state import ServingState
 
@@ -177,8 +184,9 @@ class IndexRegistry:
 
         Runs after the state is unlinked from the entry (under the
         registry lock) — the service layer uses it to retire the
-        tenant's micro-batcher.  By the drain discipline the tenant has
-        zero in-flight queries at this point.
+        tenant's backend (stop its micro-batcher, or drain its fleet).
+        By the drain discipline the tenant has zero in-flight queries at
+        this point.
         """
         self._detach_hooks.append(hook)
 
@@ -327,6 +335,31 @@ class IndexRegistry:
                 if entry.evict_pending and entry.pins == 0:
                     self._detach_locked(entry)
 
+    def check_writable(self, tenant_id: str | None) -> None:
+        """Refuse a write to a lazily registered tenant, without attaching.
+
+        Attaching just to refuse would cost an mmap open or a whole
+        worker fleet, and could LRU-evict a hot tenant.  A data-directory
+        tenant refuses like a saved model (``ReproError``, HTTP 400), a
+        custom-loader (fleet) tenant like a read-only cluster
+        (``ClusterReadOnlyError``, 403).  Eager tenants pass.
+        """
+        with self._lock:
+            entry = self._entry(tenant_id)
+        if not entry.evictable:
+            return
+        if entry.loader is None:
+            raise ReproError(
+                f"tenant {entry.tenant_id!r} is read-only: it serves the "
+                f"last sealed checkpoint of {entry.data_dir}; write "
+                "through that store's own writer"
+            )
+        raise ClusterReadOnlyError(
+            f"tenant {entry.tenant_id!r} is a read-only fleet: write "
+            "through its store's single writer and restart the cluster "
+            "to pick up the new checkpoint"
+        )
+
     def detach(self, tenant_id: str) -> bool:
         """Explicitly detach one tenant (deferred if pinned).
 
@@ -361,10 +394,9 @@ class IndexRegistry:
     def describe(self) -> dict:
         """Per-tenant status map for ``/tenants`` and ``healthz``.
 
-        Duck-typed over the hosted object: a :class:`ServingState`
-        reports through its current snapshot, while the cluster front
-        end registers :class:`~repro.cluster.service.ClusterService`
-        instances, which expose ``epoch`` / ``handle`` directly.
+        A resident :class:`ServingState` reports through its current
+        snapshot, a resident cluster fleet through its published epoch
+        handle.
         """
         with self._lock:
             out = {}
@@ -378,22 +410,17 @@ class IndexRegistry:
                 }
                 if entry.data_dir is not None:
                     info["data_dir"] = str(entry.data_dir)
+                if isinstance(entry.state, ServingState):
+                    snap = entry.state.current()
+                    info["epoch"] = snap.epoch
+                    info["n_documents"] = snap.n_documents
+                    info["writable"] = entry.state.writable
+                elif entry.resident:
+                    info["epoch"] = entry.state.handle.epoch
+                    info["n_documents"] = entry.state.handle.n_documents
                 if entry.resident:
-                    current = getattr(entry.state, "current", None)
-                    if current is not None:
-                        snap = current()
-                        epoch = snap.epoch
-                        info["n_documents"] = snap.n_documents
-                        info["writable"] = entry.state.writable
-                    else:
-                        epoch = getattr(entry.state, "epoch", None)
-                        handle = getattr(entry.state, "handle", None)
-                        if handle is not None:
-                            info["n_documents"] = handle.n_documents
-                    if epoch is not None:
-                        info["epoch"] = epoch
-                        metrics.set_gauge(
-                            f"tenant.{tid}.epoch", float(epoch)
-                        )
+                    metrics.set_gauge(
+                        f"tenant.{tid}.epoch", float(info["epoch"])
+                    )
                 out[tid] = info
             return out

@@ -11,6 +11,7 @@ in ``benchmarks/cluster_smoke.py``.
 import asyncio
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -20,6 +21,9 @@ from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.worker import run_worker
 from repro.parallel.sharding import sharded_batch_search
+from repro.errors import ServerOverloadError
+from repro.server import ServerClient, start_http_server
+from repro.server.service import QueryService, ServerConfig
 from repro.server.state import manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.mmap_io import open_latest_model
@@ -63,7 +67,7 @@ def test_cluster_lifecycle_parity_kill_recover_drain(seeded_store):
         await service.start()
         try:
             # Phase 1: all live → element-identical to the flat search.
-            health = service.healthz()
+            health = service.describe()
             assert health["status"] == "ok"
             assert health["workers_live"] == SHARDS
             result = await service.search_many(queries, top=TOP)
@@ -105,15 +109,15 @@ def test_cluster_lifecycle_parity_kill_recover_drain(seeded_store):
             for qi, merged in enumerate(degraded.results):
                 survivors = [p for p in full[qi] if not lo <= p[0] < hi]
                 assert merged == survivors[:TOP]
-            assert service.healthz()["status"] == "degraded"
+            assert service.describe()["status"] == "degraded"
 
             # Phase 3: the supervisor restarts it → full parity again.
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
-                if service.healthz()["workers_live"] == SHARDS:
+                if service.describe()["workers_live"] == SHARDS:
                     break
                 await asyncio.sleep(0.1)
-            assert service.healthz()["workers_live"] == SHARDS
+            assert service.describe()["workers_live"] == SHARDS
             restored = await service.search_many(queries, top=TOP)
             assert restored.partial is False
             assert restored.results == flat
@@ -123,7 +127,7 @@ def test_cluster_lifecycle_parity_kill_recover_drain(seeded_store):
             await service.drain()
         for row in service.supervisor.describe():
             assert row["state"] == "draining"
-        assert service.healthz()["draining"] is True
+        assert service.describe()["draining"] is True
 
     asyncio.run(main())
 
@@ -160,13 +164,12 @@ def test_cluster_observability_trace_metrics_slowlog(
     obs.clear_spans()
 
     async def main():
-        service = ClusterService(
-            data_dir,
-            ClusterConfig(
-                workers=SHARDS,
-                slow_ms=10.0,
-                slowlog_path=str(slowlog_path),
-            ),
+        # The slow-query log, /metrics federation and /trace assembly
+        # live on the front end, with the fleet as its backend.
+        fleet = ClusterService(data_dir, ClusterConfig(workers=SHARDS))
+        service = QueryService(
+            fleet,
+            ServerConfig(slow_ms=10.0, slowlog_path=str(slowlog_path)),
         )
         await service.start()
         try:
@@ -175,7 +178,7 @@ def test_cluster_observability_trace_metrics_slowlog(
             assert response["partial"] is False
 
             # stats wire op: every live worker ships its registry.
-            worker_snaps = await service.router.fetch_stats()
+            worker_snaps = await fleet.router.fetch_stats()
             assert sorted(worker_snaps) == list(range(SHARDS))
             for snap in worker_snaps.values():
                 # The score span feeds the worker's latency histogram.
@@ -246,6 +249,71 @@ def test_cluster_observability_trace_metrics_slowlog(
     finally:
         obs.enable_tracing(prev)
         obs.clear_spans()
+
+
+# --------------------------------------------------------------------- #
+# admission: a single-tenant cluster front end sheds load with a 429
+# --------------------------------------------------------------------- #
+def test_single_tenant_cluster_front_end_returns_typed_429(
+    seeded_store, monkeypatch
+):
+    data_dir, texts = seeded_store
+    model = open_latest_model(data_dir)
+    query = texts[0]
+    expected = sharded_batch_search(model, [query], top=TOP, shards=SHARDS)[0]
+    # Slow workers keep the one admitted scatter in flight while the
+    # rest of the burst arrives at the one-deep queue.
+    monkeypatch.setenv("REPRO_WORKER_INJECT_DELAY_MS", "300")
+    ready = threading.Event()
+    box: dict = {}
+
+    async def serve():
+        service = QueryService(
+            ClusterService(data_dir, ClusterConfig(workers=SHARDS)),
+            ServerConfig(queue_depth=1),
+        )
+        server = await start_http_server(service, "127.0.0.1", 0)
+        box["port"] = server.sockets[0].getsockname()[1]
+        box["loop"] = asyncio.get_running_loop()
+        box["stop"] = stop = asyncio.Event()
+        ready.set()
+        await stop.wait()
+        server.close()
+        await server.wait_closed()
+        await service.drain()
+
+    thread = threading.Thread(target=lambda: asyncio.run(serve()))
+    thread.start()
+    try:
+        assert ready.wait(60), "cluster front end failed to start"
+        served, rejected = [], []
+
+        def one() -> None:
+            with ServerClient(port=box["port"], timeout=30) as client:
+                try:
+                    served.append(client.search(query, top=TOP))
+                except ServerOverloadError as exc:
+                    rejected.append(exc)
+
+        burst = [threading.Thread(target=one) for _ in range(6)]
+        for t in burst:
+            t.start()
+        for t in burst:
+            t.join()
+        assert rejected, "a 6-request burst must overflow a 1-deep queue"
+        assert all(e.reason == "queue_full" for e in rejected)
+        assert all(e.request_id for e in rejected)
+        assert served
+        for response in served:
+            assert response["partial"] is False
+            assert _pairs(
+                [(i, s) for i, s, _ in response["results"]]
+            ) == expected
+    finally:
+        if "loop" in box:
+            box["loop"].call_soon_threadsafe(box["stop"].set)
+        thread.join(60)
+    assert not thread.is_alive(), "cluster front end failed to drain"
 
 
 # --------------------------------------------------------------------- #

@@ -546,7 +546,7 @@ def test_standby_follows_then_promotes_with_zero_acked_loss(
             with pytest.raises(ClusterReadOnlyError) as excinfo:
                 await service.add(["too early"], ["nope"])
             assert "standby" in str(excinfo.value)
-            assert service.healthz()["standby"]["promoted"] is False
+            assert service.describe()["standby"]["promoted"] is False
 
             # The primary seals a new epoch; the standby follows it.
             primary.add_texts(_texts(2, seed=21), ["P0", "P1"])
@@ -578,7 +578,7 @@ def test_standby_follows_then_promotes_with_zero_acked_loss(
             # Promotion installed a real writer: the adoption replayed
             # the WAL tail, so every acked record is already searchable.
             assert service.primary is service.standby.writer
-            h = service.healthz()
+            h = service.describe()
             assert h["standby"]["promoted"] is True
             assert h["writer"]["enabled"] is True
             assert h["n_documents"] == 29

@@ -20,7 +20,7 @@ from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.worker import ShardWorker
 from repro.errors import ClusterReadOnlyError
-from repro.server import ServerClient, start_http_server
+from repro.server import QueryService, ServerClient, start_http_server
 from repro.server.state import manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.mmap_io import open_checkpoint_model
@@ -174,7 +174,7 @@ def test_writable_cluster_ingests_bumps_and_serves(store_dir):
         )
         await service.start()
         try:
-            h0 = service.healthz()
+            h0 = service.describe()
             assert h0["writer"]["enabled"]
             assert h0["writer"]["ingest_method"] == "fast-update"
             assert h0["writer"]["lag_records"] == 0
@@ -198,7 +198,7 @@ def test_writable_cluster_ingests_bumps_and_serves(store_dir):
                     asyncio.get_event_loop().time() < deadline
                 ), "no epoch bump observed"
                 await asyncio.sleep(0.05)
-            h1 = service.healthz()
+            h1 = service.describe()
             assert h1["epoch"] > epoch0
             assert h1["n_documents"] == 29
 
@@ -212,7 +212,7 @@ def test_writable_cluster_ingests_bumps_and_serves(store_dir):
             # Lag drains to zero once the age trigger seals the tail.
             deadline = asyncio.get_event_loop().time() + 30
             while True:
-                h = service.healthz()
+                h = service.describe()
                 if h["writer"]["lag_records"] == 0 and all(
                     w["epoch"] == h["epoch"] for w in h["workers"]
                 ):
@@ -246,9 +246,11 @@ class _ClusterThread:
         async def main():
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
-            service = ClusterService(
-                self.data_dir,
-                ClusterConfig(workers=SHARDS, heartbeat_interval=0.2),
+            service = QueryService(
+                ClusterService(
+                    self.data_dir,
+                    ClusterConfig(workers=SHARDS, heartbeat_interval=0.2),
+                )
             )
             server = await start_http_server(service, "127.0.0.1", 0)
             self.port = server.sockets[0].getsockname()[1]

@@ -34,7 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.med import MED_TOPICS
-from repro.errors import ReproError, ServerOverloadError, UnknownTenantError
+from repro.errors import (
+    ClusterReadOnlyError,
+    ReproError,
+    ServerOverloadError,
+    UnknownTenantError,
+)
 from repro.retrieval import LSIRetrieval
 from repro.server import (
     MicroBatcher,
@@ -309,6 +314,108 @@ def test_quota_starvation_cold_tenant_latency_bounded(monkeypatch):
     # The cold tenant rode its own batcher + quota share: one slow
     # batch (50ms), not the hot tenant's backlog.
     assert cold_seconds < 2.0
+
+
+# --------------------------------------------------------------------- #
+# backends retired by LRU detach; writes to cold tenants
+# --------------------------------------------------------------------- #
+class _FakeFleet:
+    """The cluster-fleet surface the front end drives, in-process."""
+
+    def __init__(self, tid: str, log: list[str], *, drain_s: float = 0.0):
+        self.tid = tid
+        self.log = log
+        self.drain_s = drain_s
+
+    async def start(self) -> None:
+        pass
+
+    async def execute(self, query, **kwargs):
+        return {"results": [], "partial": False, "missing": []}, {}
+
+    async def add(self, texts, doc_ids=None):
+        raise AssertionError("a cold fleet must be refused before attach")
+
+    def describe(self) -> dict:
+        return {"status": "ok", "tenant": self.tid}
+
+    async def drain(self) -> None:
+        await asyncio.sleep(self.drain_s)
+        self.log.append(self.tid)
+
+
+def test_drain_awaits_backends_retired_by_lru_detach():
+    """An evicted fleet's drain (its worker reap) finishes before the
+    front end's drain returns, even when eviction came just before."""
+    drained: list[str] = []
+    reg = IndexRegistry(max_resident=1)
+    # Only the evicted fleet is slow to drain, so the resident fleet's
+    # drain cannot cover for a missing wait on the evicted one.
+    for tid, drain_s in (("a", 0.3), ("b", 0.0)):
+        reg.register(
+            tid,
+            loader=lambda tid=tid, d=drain_s: _FakeFleet(
+                tid, drained, drain_s=d
+            ),
+        )
+
+    async def main():
+        service = QueryService(reg, ServerConfig())
+        await service.start()
+        await service.search("x", tenant="a")
+        await service.search("x", tenant="b")  # evicts a: drain starts
+        assert list(reg.resident_states()) == ["b"]
+        assert drained == []  # a's drain is still sleeping
+        await service.drain()
+        return service
+
+    service = asyncio.run(main())
+    assert sorted(drained) == ["a", "b"]
+    assert not service._retiring
+
+
+def test_add_to_cold_tenant_refused_without_attaching(tmp_path):
+    """/add to a lazily registered tenant is refused from registration
+    alone: nothing attaches, so the hot tenant is not LRU-evicted."""
+    reg = IndexRegistry(max_resident=1)
+    for tid, texts in (("hot", "alpha"), ("cold", "beta")):
+        reg.register(
+            tid, data_dir=_seed_store(tmp_path, tid, TENANT_TEXTS[texts])
+        )
+    with _ServerThread(reg, ServerConfig(max_wait_ms=1.0)) as server:
+        client = ServerClient(port=server.port)
+        assert client.search(TENANT_QUERIES["alpha"], top=1, tenant="hot")
+        with pytest.raises(ReproError, match="read-only") as excinfo:
+            client.add(["a new document"], tenant="cold")
+        # A local mmap tenant refuses like any saved model: 400, not 403.
+        assert not isinstance(excinfo.value, ClusterReadOnlyError)
+        rows = client.tenants()["tenants"]
+        assert rows["hot"]["resident"] is True
+        assert rows["cold"]["resident"] is False
+        assert rows["cold"]["attaches"] == 0
+
+    # A fleet tenant (custom loader) refuses with the typed 403 and never
+    # spawns its fleet.
+    spawned: list[str] = []
+    fleets = IndexRegistry(max_resident=1)
+    for tid in ("hot", "cold"):
+        fleets.register(
+            tid,
+            loader=lambda tid=tid: spawned.append(tid)
+            or _FakeFleet(tid, []),
+        )
+
+    async def main():
+        service = QueryService(fleets, ServerConfig())
+        await service.start()
+        await service.search("x", tenant="hot")
+        with pytest.raises(ClusterReadOnlyError):
+            await service.add(["a new document"], tenant="cold")
+        await service.drain()
+
+    asyncio.run(main())
+    assert spawned == ["hot"]
+    assert list(fleets.resident_states()) == ["hot"]
 
 
 # --------------------------------------------------------------------- #
